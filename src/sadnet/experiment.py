@@ -19,6 +19,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import struct
 import time
 from dataclasses import dataclass, field, replace
@@ -470,6 +471,28 @@ def save_checkpoint(cp: Checkpoint, path) -> Path:
     return path
 
 
+_HEADER_TYPES = {"arch": dict, "shapes": list, "seed": int, "config": dict, "tag": str,
+                 "checksum": str}
+
+
+def _check_header(path, header) -> None:
+    """Raise FormatError unless header has every field load_checkpoint reads,
+    with shapes a list of lists of non-negative integers."""
+    if not isinstance(header, dict):
+        raise FormatError(f"{path}: header is a JSON {type(header).__name__}, not an object")
+    for key, kind in _HEADER_TYPES.items():
+        if key not in header:
+            raise FormatError(f"{path}: header lacks {key!r}")
+        if not isinstance(header[key], kind) or isinstance(header[key], bool):
+            raise FormatError(f"{path}: header {key!r} is not a {kind.__name__}")
+    if not isinstance(header.get("flags", {}), dict):
+        raise FormatError(f"{path}: header 'flags' is not a dict")
+    for shape in header["shapes"]:
+        if not isinstance(shape, list) or not all(
+                type(d) is int and d >= 0 for d in shape):
+            raise FormatError(f"{path}: header shape {shape!r} is not a list of non-negative integers")
+
+
 def load_checkpoint(path) -> Checkpoint:
     raw = Path(path).read_bytes()
     if not raw.startswith(CHECKPOINT_MAGIC):
@@ -486,17 +509,18 @@ def load_checkpoint(path) -> Checkpoint:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: corrupt header: {exc}") from exc
     offset += header_len
+    _check_header(path, header)
     payload = raw[offset:]
-    if hashlib.sha256(payload).hexdigest() != header.get("checksum"):
+    if hashlib.sha256(payload).hexdigest() != header["checksum"]:
         raise FormatError(f"{path}: payload checksum mismatch")
     shapes = [tuple(s) for s in header["shapes"]]
-    need = sum(int(np.prod(s)) for s in shapes) * 8
+    need = sum(math.prod(s) for s in shapes) * 8
     if len(payload) != need:
         raise FormatError(f"{path}: payload holds {len(payload)} bytes, shapes need {need}")
     params = []
     pos = 0
     for shape in shapes:
-        n = int(np.prod(shape))
+        n = math.prod(shape)
         params.append(np.frombuffer(payload, dtype="<f8", count=n, offset=pos)
                       .reshape(shape).astype(np.float64))
         pos += n * 8

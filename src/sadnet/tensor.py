@@ -1,15 +1,17 @@
 """Dense float64 array kernels underneath every layer.
 
 All math in this package runs on C-contiguous float64 numpy arrays
-(row-major, last index fastest). Single-sample signatures take a
-channel-first image (C, H, W); the batched variants used by the layers
-prepend a batch axis. Convolution means cross-correlation (no kernel
-flip), the convention the rest of the stack assumes.
+(row-major, last index fastest). Image kernels take channel-first
+batches (B, C, H, W). Convolution means cross-correlation (no kernel
+flip), the convention the rest of the stack assumes; it is lowered to
+one matrix product per image over that image's patch matrix (im2col,
+Chellapilla, Puri & Simard 2006).
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ShapeError
 
@@ -36,20 +38,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return a @ b
 
 
-def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, pad: int = 0) -> Tensor:
-    """Cross-correlate one image x (C, H, W) with kernels (O, C, kh, kw).
+def conv2d_batch(x: Tensor, kernels: Tensor, bias: Tensor, pad: int = 0) -> Tensor:
+    """Cross-correlate x (B, C, H, W) with kernels (O, C, kh, kw).
 
     Zero padding of `pad` pixels on each spatial edge; output is
-    (O, H + 2*pad - kh + 1, W + 2*pad - kw + 1).
+    (B, O, H + 2*pad - kh + 1, W + 2*pad - kw + 1). Each image is one GEMM
+    of the flattened kernels with its patch matrix (im2col).
     """
-    x = np.asarray(x)
-    if x.ndim != 3:
-        raise ShapeError(f"conv2d input must be (C, H, W), got {x.shape}")
-    return conv2d_batch(x[None], kernels, bias, pad)[0]
-
-
-def conv2d_batch(x: Tensor, kernels: Tensor, bias: Tensor, pad: int = 0) -> Tensor:
-    """Batched conv2d: x (B, C, H, W) -> (B, O, H', W')."""
     x = np.asarray(x)
     kernels = np.asarray(kernels)
     bias = np.asarray(bias)
@@ -65,75 +60,91 @@ def conv2d_batch(x: Tensor, kernels: Tensor, bias: Tensor, pad: int = 0) -> Tens
     ow = w + 2 * pad - kw + 1
     if oh < 1 or ow < 1:
         raise ShapeError(f"conv2d output extent {oh}x{ow} not positive for input {h}x{w}, kernel {kh}x{kw}, pad {pad}")
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
-    # Accumulate in (B, oh, ow, O) layout so each tap is one GEMM-like tensordot.
-    acc = np.zeros((b, oh, ow, o), dtype=np.float64)
-    for i in range(kh):
-        for j in range(kw):
-            acc += np.tensordot(xp[:, :, i:i + oh, j:j + ow], kernels[:, :, i, j], axes=([1], [1]))
-    acc += bias
-    return np.ascontiguousarray(acc.transpose(0, 3, 1, 2))
+    k2 = kernels.reshape(o, -1)
+    out = np.empty((b, o, oh * ow), dtype=np.float64)
+    for n, cols in _patch_matrices(x, pad, kh, kw):
+        np.matmul(k2, cols, out=out[n])
+    out += bias[:, None]
+    return out.reshape(b, o, oh, ow)
 
 
 def conv2d_backward_batch(x: Tensor, kernels: Tensor, pad: int, dout: Tensor):
     """Gradients of conv2d_batch: returns (dx, dkernels, dbias).
 
-    dkernels is a correlation of the padded input with dout; dx is the
-    transposed correlation routing dout back through every tap.
+    Per image, dkernels accumulates dout times the transposed patch matrix;
+    dx is the kernels' transpose times dout, scattered back tap by tap
+    onto the padded input (col2im).
     """
     b, c, h, w = x.shape
     o, _, kh, kw = kernels.shape
     _, _, oh, ow = dout.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
     dbias = dout.sum(axis=(0, 2, 3))
-    dk = np.empty_like(kernels)
-    dxp = np.zeros_like(xp)
-    for i in range(kh):
-        for j in range(kw):
-            patch = xp[:, :, i:i + oh, j:j + ow]
-            dk[:, :, i, j] = np.tensordot(dout, patch, axes=([0, 2, 3], [0, 2, 3]))
-            dxp[:, :, i:i + oh, j:j + ow] += np.tensordot(
-                dout, kernels[:, :, i, j], axes=([1], [0])
-            ).transpose(0, 3, 1, 2)
+    dout = dout.reshape(b, o, oh * ow)
+    k2t = kernels.reshape(o, -1).T
+    dk = np.zeros((o, c * kh * kw), dtype=np.float64)
+    dxp = np.zeros((b, c, h + 2 * pad, w + 2 * pad), dtype=np.float64)
+    for n, cols in _patch_matrices(x, pad, kh, kw):
+        dk += dout[n] @ cols.T
+        dcols = (k2t @ dout[n]).reshape(c, kh, kw, oh, ow)
+        for i in range(kh):
+            for j in range(kw):
+                dxp[n, :, i:i + oh, j:j + ow] += dcols[:, i, j]
     dx = dxp[:, :, pad:pad + h, pad:pad + w] if pad else dxp
-    return np.ascontiguousarray(dx), dk, dbias
+    return np.ascontiguousarray(dx), dk.reshape(kernels.shape), dbias
 
 
-def maxpool2d(x: Tensor, window: int = 2):
-    """Max over disjoint window x window tiles of one image (C, H, W).
+def _patch_matrices(x: Tensor, pad: int, kh: int, kw: int):
+    """Yield (n, cols) for each image of x (B, C, H, W) zero-padded by pad.
 
-    Returns (pooled, idx) where idx holds the row-major position of the
-    winner inside each window (0 .. window**2 - 1), as needed to route
-    gradients back. Ties go to the first (lowest) position.
+    cols is the (C*kh*kw, oh*ow) patch matrix of image n: row (c, i, j)
+    holds padded channel c shifted by tap (i, j) at every output position.
+    One buffer is refilled for each image, so only one image's patches
+    are ever held; consume cols before advancing.
     """
-    x = np.asarray(x)
-    if x.ndim != 3:
-        raise ShapeError(f"maxpool2d input must be (C, H, W), got {x.shape}")
-    out, idx = maxpool2d_batch(x[None], window)
-    return out[0], idx[0]
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
+    b, c, hp, wp = xp.shape
+    oh, ow = hp - kh + 1, wp - kw + 1
+    taps = sliding_window_view(xp, (kh, kw), axis=(2, 3)).transpose(0, 1, 4, 5, 2, 3)
+    buf = np.empty((c, kh, kw, oh, ow), dtype=np.float64)
+    cols = buf.reshape(c * kh * kw, oh * ow)
+    for n in range(b):
+        np.copyto(buf, taps[n])
+        yield n, cols
 
 
 def maxpool2d_batch(x: Tensor, window: int = 2):
+    """Max over disjoint window x window tiles of x (B, C, H, W).
+
+    Returns (pooled, idx) where idx holds the row-major position of the
+    winner inside each window (0 .. window**2 - 1), as needed to route
+    gradients back. Ties go to the first (lowest) position. Position p is
+    the strided view x[:, :, p // window::window, p % window::window].
+    """
     x = np.asarray(x)
     b, c, h, w = x.shape
     if h % window or w % window:
         raise ShapeError(f"maxpool2d needs extents divisible by {window}, got {h}x{w}")
-    oh, ow = h // window, w // window
-    tiles = x.reshape(b, c, oh, window, ow, window).transpose(0, 1, 2, 4, 3, 5)
-    tiles = tiles.reshape(b, c, oh, ow, window * window)
-    idx = tiles.argmax(axis=-1)
-    out = np.take_along_axis(tiles, idx[..., None], axis=-1)[..., 0]
-    return np.ascontiguousarray(out), idx
+    taps = _window_taps(x, window)
+    out = taps[0].copy()
+    for tap in taps[1:]:
+        np.maximum(out, tap, out=out)
+    idx = np.zeros(out.shape, dtype=np.intp)
+    # descending, so the lowest tied position is written last and wins
+    for p in reversed(range(len(taps))):
+        np.copyto(idx, p, where=taps[p] == out)
+    return out, idx
 
 
 def maxpool2d_backward_batch(idx: Tensor, dout: Tensor, window: int, in_shape) -> Tensor:
     """Scatter dout back to the argmax positions recorded by maxpool2d_batch."""
-    b, c, h, w = in_shape
-    oh, ow = h // window, w // window
-    tiles = np.zeros((b, c, oh, ow, window * window), dtype=np.float64)
-    np.put_along_axis(tiles, idx[..., None], dout[..., None], axis=-1)
-    tiles = tiles.reshape(b, c, oh, ow, window, window).transpose(0, 1, 2, 4, 3, 5)
-    return np.ascontiguousarray(tiles.reshape(b, c, h, w))
+    dx = np.empty(in_shape, dtype=np.float64)
+    for p, tap in enumerate(_window_taps(dx, window)):
+        tap[...] = np.where(idx == p, dout, 0.0)
+    return dx
+
+
+def _window_taps(x: Tensor, window: int) -> list[Tensor]:
+    return [x[:, :, p // window::window, p % window::window] for p in range(window * window)]
 
 
 def relu(x: Tensor) -> Tensor:
@@ -157,12 +168,3 @@ def norm2(t: Tensor) -> float:
     """Euclidean norm of the flattened array."""
     t = np.asarray(t)
     return float(np.sqrt(np.sum(t * t)))
-
-
-def axpy(alpha: float, x: Tensor, y: Tensor) -> Tensor:
-    """alpha * x + y, elementwise."""
-    x = np.asarray(x)
-    y = np.asarray(y)
-    if x.shape != y.shape:
-        raise ShapeError(f"axpy shapes differ: {x.shape} vs {y.shape}")
-    return alpha * x + y

@@ -1,13 +1,14 @@
 """End-to-end CLI tests on tiny synthetic datasets."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
 
 from sadnet.cli import run
 from sadnet.data import load_cifar10, load_idx
-from sadnet.experiment import load_checkpoint
+from sadnet.experiment import CHECKPOINT_MAGIC, load_checkpoint
 
 
 def tiny_args(subcommand, out_dir, **extra):
@@ -177,3 +178,21 @@ class TestPipelineCommands:
         code = run(tiny_args("escape", out, epochs=1, **{"from_checkpoint": ckpt}))
         assert code == 2
         assert "checksum" in capsys.readouterr().err
+
+    def test_malformed_header_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "runs"
+        assert run(tiny_args("train", out, epochs=1)) == 0
+        ckpt = find_run_dir(out) / "clean.ckpt"
+        raw = ckpt.read_bytes()
+        (length,) = struct.unpack(">Q", raw[len(CHECKPOINT_MAGIC):len(CHECKPOINT_MAGIC) + 8])
+        start = len(CHECKPOINT_MAGIC) + 8
+        header = json.dumps([json.loads(raw[start:start + length])]).encode()
+        ckpt.write_bytes(CHECKPOINT_MAGIC + struct.pack(">Q", len(header)) + header
+                         + raw[start + length:])
+        capsys.readouterr()
+        code = run(tiny_args("escape", out, epochs=1, **{"from_checkpoint": ckpt}))
+        assert code == 2
+        assert "not an object" in capsys.readouterr().err
+        code = run(["analyze", "--runs-dir", str(out), "--out-dir", str(tmp_path / "analysis")])
+        assert code == 2
+        assert "not an object" in capsys.readouterr().err

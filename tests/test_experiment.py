@@ -6,6 +6,7 @@ fast; the full-size campaigns live in the acceptance suite.
 
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -13,12 +14,12 @@ import pytest
 from sadnet.data import LabeledDataset, build_corrupted_train, corrupt_labels
 from sadnet.errors import (CheckpointError, ConsistencyError, FormatError,
                            ValidationError)
-from sadnet.experiment import (Checkpoint, TrainConfig, checkpoint_of,
+from sadnet.experiment import (CHECKPOINT_MAGIC, Checkpoint, TrainConfig, checkpoint_of,
                                clean_gradient_norm, construct_sad_point,
                                corruption_rng, distance_report, escape_run,
                                evaluate, load_checkpoint, new_model, run_id_for,
                                save_checkpoint, train)
-from sadnet.fixtures import synth_blobs
+from sadnet.fixtures import synth_blobs, synth_images
 from sadnet.nn import build_mlp, init_xavier_uniform
 
 
@@ -240,6 +241,25 @@ class TestSadPointAndEscape:
         assert rec.train_set_final_acc >= acc_epoch1
 
 
+    def test_cnn_sad_point_and_escape_deterministic(self):
+        train_ds, test_ds = synth_images(24, 12, data_seed=3)
+
+        def pipeline():
+            cfg = TrainConfig(model_kind="cnn", lr=0.003, batch_size=16, epochs=2, seed=5)
+            sad_cp, sad_rec = construct_sad_point(train_ds, test_ds, cfg, default_stop=None)
+            _, esc_rec = escape_run(sad_cp, train_ds, test_ds, cfg)
+            return sad_rec, esc_rec
+
+        first, second = pipeline(), pipeline()
+        for rec in first:
+            assert len(rec.rows) == 2
+            values = list(rec.init_metrics.values())
+            values += [v for row in rec.rows for v in row.to_dict().values()]
+            assert all(math.isfinite(v) for v in values)
+        for a, b in zip(first, second):
+            assert a.deterministic_payload() == b.deterministic_payload()
+
+
 class TestGradientNorm:
     def test_saturated_single_sample_near_zero(self):
         ds = LabeledDataset(np.ones((1, 1, 1, 4)), np.array([1]), 2)
@@ -375,3 +395,49 @@ class TestCheckpointIO:
         loaded = load_checkpoint(tmp_path / rec.run_id / "init.ckpt")
         np.testing.assert_array_equal(loaded.flat(), w_init)
         np.testing.assert_array_equal(new_model(cfg, train_ds).flatten_parameters(), w_init)
+
+    def test_header_not_an_object(self, blob_pair, tmp_path):
+        path = self._rewrite_header(blob_pair, tmp_path, lambda h: [h])
+        with pytest.raises(FormatError, match="not an object"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key", ["shapes", "arch", "seed", "config", "tag"])
+    def test_header_missing_field(self, blob_pair, tmp_path, key):
+        path = self._rewrite_header(blob_pair, tmp_path,
+                                    lambda h: {k: v for k, v in h.items() if k != key})
+        with pytest.raises(FormatError, match=key):
+            load_checkpoint(path)
+
+    # each keeps the element count of the first shape, so only the type or
+    # sign check can catch it
+    @pytest.mark.parametrize("retype", [
+        lambda s: [-d for d in s],
+        lambda s: [float(d) for d in s],
+        lambda s: [str(d) for d in s],
+        lambda s: [True, s[0] * s[1]],
+        lambda s: s[0] * s[1],
+    ], ids=["negative", "float", "string", "bool", "not-a-list"])
+    def test_header_bad_dimensions(self, blob_pair, tmp_path, retype):
+        def mutate(header):
+            header["shapes"][0] = retype(header["shapes"][0])
+            return header
+        path = self._rewrite_header(blob_pair, tmp_path, mutate)
+        with pytest.raises(FormatError, match="shape"):
+            load_checkpoint(path)
+
+    @staticmethod
+    def _rewrite_header(blob_pair, tmp_path, mutate):
+        """Save a valid checkpoint, then replace its header with mutate(header);
+        the payload, and so its checksum, stays intact."""
+        train_ds, _ = blob_pair
+        cfg = blob_config()
+        path = save_checkpoint(checkpoint_of(new_model(cfg, train_ds), cfg, "clean"),
+                               tmp_path / "model.ckpt")
+        raw = path.read_bytes()
+        offset = len(CHECKPOINT_MAGIC)
+        (length,) = struct.unpack(">Q", raw[offset:offset + 8])
+        header = json.loads(raw[offset + 8:offset + 8 + length])
+        new_header = json.dumps(mutate(header)).encode()
+        path.write_bytes(CHECKPOINT_MAGIC + struct.pack(">Q", len(new_header))
+                         + new_header + raw[offset + 8 + length:])
+        return path

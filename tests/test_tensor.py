@@ -83,17 +83,45 @@ class TestMatmul:
             assert rel < 1e-13
 
 
+def conv2d_one(x, kernels, bias, pad=0):
+    """conv2d_batch on a single (C, H, W) image."""
+    return T.conv2d_batch(x[None], kernels, bias, pad)[0]
+
+
+def maxpool_one(x, window=2):
+    """maxpool2d_batch on a single (C, H, W) image."""
+    out, idx = T.maxpool2d_batch(x[None], window)
+    return out[0], idx[0]
+
+
+def central_difference(f, arr, h=1e-3):
+    """d f / d arr by central differences, one element at a time (in place)."""
+    grad = np.zeros_like(arr)
+    for pos in np.ndindex(arr.shape):
+        keep = arr[pos]
+        arr[pos] = keep + h
+        up = f()
+        arr[pos] = keep - h
+        down = f()
+        arr[pos] = keep
+        grad[pos] = (up - down) / (2 * h)
+    return grad
+
+
+BATCH_CASES = [(c, pad, k) for c in (1, 3) for pad in (0, 1, 2) for k in (3, 5)]
+
+
 class TestConv2d:
     def test_identity_kernel(self):
         rng = np.random.default_rng(1)
         x = rng.uniform(size=(1, 5, 5))
         kernels = np.ones((1, 1, 1, 1))
-        out = T.conv2d(x, kernels, T.zeros(1), pad=0)
+        out = conv2d_one(x, kernels, T.zeros(1), pad=0)
         np.testing.assert_allclose(out, x)
 
     def test_bias_only_on_zero_input(self):
         bias = T.tensor([1.5, -2.0])
-        out = T.conv2d(T.zeros((1, 4, 4)), T.zeros((2, 1, 3, 3)), bias, pad=1)
+        out = conv2d_one(T.zeros((1, 4, 4)), T.zeros((2, 1, 3, 3)), bias, pad=1)
         assert out.shape == (2, 4, 4)
         np.testing.assert_allclose(out[0], 1.5)
         np.testing.assert_allclose(out[1], -2.0)
@@ -103,7 +131,7 @@ class TestConv2d:
         x = rng.normal(size=(1, 4, 4))
         kernels = rng.normal(size=(1, 1, 3, 3))
         bias = rng.normal(size=1)
-        out = T.conv2d(x, kernels, bias, pad=0)
+        out = conv2d_one(x, kernels, bias, pad=0)
         assert out.shape == (1, 2, 2)
         np.testing.assert_allclose(out, conv2d_oracle(x, kernels, bias, 0), atol=1e-12)
 
@@ -113,20 +141,31 @@ class TestConv2d:
         x = rng.normal(size=(2, 5, 6))
         kernels = rng.normal(size=(3, 2, 3, 3))
         bias = rng.normal(size=3)
-        np.testing.assert_allclose(T.conv2d(x, kernels, bias, pad),
+        np.testing.assert_allclose(conv2d_one(x, kernels, bias, pad),
                                    conv2d_oracle(x, kernels, bias, pad), atol=1e-12)
+
+    @pytest.mark.parametrize("c,pad,k", BATCH_CASES)
+    def test_batch_matches_oracle_per_image(self, c, pad, k):
+        rng = np.random.default_rng(10 * c + 3 * pad + k)
+        x = rng.normal(size=(3, c, 6, 9))
+        kernels = rng.normal(size=(4, c, k, k))
+        bias = rng.normal(size=4)
+        out = T.conv2d_batch(x, kernels, bias, pad)
+        assert out.shape == (3, 4, 6 + 2 * pad - k + 1, 9 + 2 * pad - k + 1)
+        for n in range(3):
+            np.testing.assert_allclose(out[n], conv2d_oracle(x[n], kernels, bias, pad), atol=1e-12)
 
     def test_one_hot_kernel_selects_channel(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(3, 4, 4))
         kernels = T.zeros((1, 3, 1, 1))
         kernels[0, 2, 0, 0] = 1.0
-        out = T.conv2d(x, kernels, T.zeros(1), pad=0)
+        out = conv2d_one(x, kernels, T.zeros(1), pad=0)
         np.testing.assert_array_equal(out[0], x[2])
 
     def test_non_positive_output_extent(self):
         with pytest.raises(ShapeError):
-            T.conv2d(T.zeros((1, 2, 2)), T.zeros((1, 1, 5, 5)), T.zeros(1), pad=0)
+            conv2d_one(T.zeros((1, 2, 2)), T.zeros((1, 1, 5, 5)), T.zeros(1), pad=0)
 
     def test_backward_routes_to_padded_taps(self):
         # finite-difference spot check on a single kernel tap
@@ -147,36 +186,79 @@ class TestConv2d:
             np.testing.assert_allclose(dk[tap], (up - down) / (2 * h), rtol=1e-5)
         np.testing.assert_allclose(db, dout.sum(axis=(0, 2, 3)))
 
+    @pytest.mark.parametrize("c,pad,k", BATCH_CASES)
+    def test_backward_matches_central_differences(self, c, pad, k):
+        # the loss is linear in x and in the kernels, so central differences
+        # are exact up to rounding
+        rng = np.random.default_rng(100 + 10 * c + 3 * pad + k)
+        x = rng.normal(size=(3, c, 6, 9))
+        kernels = rng.normal(size=(4, c, k, k))
+        bias = rng.normal(size=4)
+        dout = rng.normal(size=(3, 4, 6 + 2 * pad - k + 1, 9 + 2 * pad - k + 1))
+
+        def loss():
+            return (T.conv2d_batch(x, kernels, bias, pad) * dout).sum()
+
+        dx, dk, db = T.conv2d_backward_batch(x, kernels, pad, dout)
+        assert dx.shape == x.shape and dk.shape == kernels.shape
+        np.testing.assert_allclose(dx, central_difference(loss, x), rtol=1e-7, atol=1e-9)
+        np.testing.assert_allclose(dk, central_difference(loss, kernels), rtol=1e-7, atol=1e-9)
+        np.testing.assert_allclose(db, dout.sum(axis=(0, 2, 3)))
+
+
+def argmax_oracle(x, window):
+    """Row-major position of the first maximum of each window, by scanning."""
+    b, c, h, w = x.shape
+    idx = np.zeros((b, c, h // window, w // window), dtype=int)
+    for pos in np.ndindex(idx.shape):
+        n, ch, y, xpos = pos
+        best = -np.inf
+        for p in range(window * window):
+            v = x[n, ch, y * window + p // window, xpos * window + p % window]
+            if v > best:
+                best, idx[pos] = v, p
+    return idx
+
 
 class TestMaxPool:
     def test_single_window(self):
-        out, idx = T.maxpool2d(T.tensor([[[1, 2], [3, 4]]]))
+        out, idx = maxpool_one(T.tensor([[[1, 2], [3, 4]]]))
         np.testing.assert_array_equal(out, [[[4.0]]])
         assert idx[0, 0, 0] == 3  # row-major position (1, 1) inside the window
 
     def test_constant_invariance(self):
-        out, _ = T.maxpool2d(np.full((2, 4, 4), 7.0))
+        out, _ = maxpool_one(np.full((2, 4, 4), 7.0))
         np.testing.assert_array_equal(out, np.full((2, 2, 2), 7.0))
 
     def test_matches_window_scan_oracle(self):
         rng = np.random.default_rng(6)
         x = rng.normal(size=(1, 4, 4))
-        out, _ = T.maxpool2d(x)
+        out, _ = maxpool_one(x)
         np.testing.assert_array_equal(out, maxpool_oracle(x, 2))
 
     def test_odd_extent_rejected(self):
         with pytest.raises(ShapeError):
-            T.maxpool2d(T.zeros((1, 3, 4)))
+            maxpool_one(T.zeros((1, 3, 4)))
 
     def test_output_members_of_windows(self):
         rng = np.random.default_rng(7)
         x = rng.normal(size=(3, 6, 8))
-        out, _ = T.maxpool2d(x)
+        out, _ = maxpool_one(x)
         for c in range(3):
             for y in range(3):
                 for xx in range(4):
                     window = x[c, 2 * y:2 * y + 2, 2 * xx:2 * xx + 2]
                     assert out[c, y, xx] in window
+
+    @pytest.mark.parametrize("window", [2, 3])
+    def test_ties_go_to_lowest_position(self, window):
+        # ReLU'd inputs hold many tied zeros, the case the layers produce
+        rng = np.random.default_rng(11 + window)
+        x = np.maximum(rng.normal(size=(2, 3, 6, 12)), 0.0)
+        out, idx = T.maxpool2d_batch(x, window)
+        np.testing.assert_array_equal(idx, argmax_oracle(x, window))
+        for ch in range(3):
+            np.testing.assert_array_equal(out[:, ch], maxpool_oracle(x[:, ch], window))
 
     def test_backward_scatters_to_argmax(self):
         x = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
@@ -184,6 +266,19 @@ class TestMaxPool:
         dout = np.array([[[[5.0]]]])
         dx = T.maxpool2d_backward_batch(idx, dout, 2, x.shape)
         np.testing.assert_array_equal(dx, [[[[0.0, 0.0], [0.0, 5.0]]]])
+
+    def test_backward_routes_each_window_once(self):
+        rng = np.random.default_rng(12)
+        x = np.maximum(rng.normal(size=(2, 3, 4, 6)), 0.0)
+        _, idx = T.maxpool2d_batch(x, 2)
+        dout = rng.normal(size=idx.shape)
+        dx = T.maxpool2d_backward_batch(idx, dout, 2, x.shape)
+        want = np.zeros_like(x)
+        for pos in np.ndindex(idx.shape):
+            n, ch, y, xpos = pos
+            p = idx[pos]
+            want[n, ch, 2 * y + p // 2, 2 * xpos + p % 2] = dout[pos]
+        np.testing.assert_array_equal(dx, want)
 
 
 class TestReluSoftmaxNormAxpy:
@@ -225,8 +320,3 @@ class TestReluSoftmaxNormAxpy:
     def test_norm2(self):
         assert T.norm2(T.tensor([3.0, 4.0])) == pytest.approx(5.0)
         assert T.norm2(T.zeros((4, 4))) == 0.0
-
-    def test_axpy(self):
-        np.testing.assert_array_equal(T.axpy(2.0, T.tensor([1, 1]), T.tensor([0, 1])), [2.0, 3.0])
-        with pytest.raises(ShapeError):
-            T.axpy(1.0, T.zeros(3), T.zeros(4))
