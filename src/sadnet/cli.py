@@ -100,7 +100,12 @@ def build_parser() -> _Parser:
 
 def _read_config_file(path: str) -> dict:
     values = {}
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ValidationError(f"cannot read config file {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError:
+        raise ValidationError(f"config file {path} is not UTF-8 text") from None
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -124,7 +129,11 @@ def _resolve_options(ns) -> dict:
         if flag_value is not None:
             resolved[name] = flag_value
         elif name in from_file:
-            resolved[name] = typ(from_file[name])
+            try:
+                resolved[name] = typ(from_file[name])
+            except ValueError:
+                raise ValidationError(
+                    f"config key {name}: {from_file[name]!r} is not a {typ.__name__}") from None
         else:
             resolved[name] = default
     if resolved["data_dir"] is None:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import gzip
 import struct
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -51,10 +52,6 @@ class LabeledDataset:
     def __len__(self) -> int:
         return self.images.shape[0]
 
-    @property
-    def n(self) -> int:
-        return self.images.shape[0]
-
 
 @dataclass
 class BatchPlan:
@@ -72,9 +69,15 @@ class BatchPlan:
 
 
 def _read_bytes(path) -> bytes:
-    raw = Path(path).read_bytes()
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise ValidationError(f"cannot read data file {path}: {exc.strerror}") from exc
     if raw[:2] == b"\x1f\x8b":
-        raw = gzip.decompress(raw)
+        try:
+            raw = gzip.decompress(raw)
+        except (OSError, EOFError, zlib.error) as exc:
+            raise FormatError(f"{path}: corrupt gzip stream: {exc}") from exc
     return raw
 
 

@@ -22,7 +22,7 @@ import json
 import math
 import struct
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -85,15 +85,6 @@ class TrainConfig:
             raise ValidationError(f"l2_lambda must be >= 0, got {self.l2_lambda}")
         if self.stop_at_train_acc is not None and not 0.0 <= self.stop_at_train_acc <= 1.0:
             raise ValidationError(f"stop_at_train_acc must lie in [0, 1], got {self.stop_at_train_acc}")
-
-    def to_dict(self) -> dict:
-        return {
-            "model_kind": self.model_kind, "optimizer": self.optimizer, "lr": self.lr,
-            "batch_size": self.batch_size, "epochs": self.epochs, "l2_lambda": self.l2_lambda,
-            "seed": self.seed, "data_seed": self.data_seed, "hidden": self.hidden,
-            "dataset": self.dataset, "train_subset": self.train_subset,
-            "test_subset": self.test_subset, "stop_at_train_acc": self.stop_at_train_acc,
-        }
 
 
 @dataclass
@@ -158,27 +149,32 @@ class RunRecord:
 
 @dataclass
 class Checkpoint:
+    """One weight vector in canonical parameter order plus the shapes it splits into."""
+
     arch: dict
-    params: list[np.ndarray]
+    theta: np.ndarray
+    shapes: list[tuple]
     seed: int
     config: dict
     tag: str
     flags: dict = field(default_factory=dict)
 
+    @property
+    def params(self) -> list[np.ndarray]:
+        return nn.split(self.theta, self.shapes)
+
     def flat(self) -> np.ndarray:
-        return np.concatenate([p.ravel() for p in self.params]) if self.params else np.zeros(0)
+        return self.theta
 
     def to_model(self, expect_kind: str | None = None) -> nn.Model:
         if expect_kind is not None and self.arch.get("kind") != expect_kind:
             raise CheckpointError(
                 f"checkpoint holds a {self.arch.get('kind')!r} model, expected {expect_kind!r}")
         model = nn.build_from_descriptor(self.arch)
-        want = [p.shape for p in model.parameters()]
-        got = [p.shape for p in self.params]
-        if want != got:
-            raise CheckpointError(f"parameter shapes {got} do not match architecture {want}")
-        for dst, src in zip(model.parameters(), self.params):
-            dst[...] = src
+        if model.shapes != self.shapes:
+            raise CheckpointError(
+                f"parameter shapes {self.shapes} do not match architecture {model.shapes}")
+        model.theta[...] = self.theta
         return model
 
 
@@ -187,8 +183,8 @@ def _canon_json(obj) -> str:
 
 
 def checkpoint_of(model: nn.Model, cfg: TrainConfig, tag: str, flags: dict | None = None) -> Checkpoint:
-    params = [p.copy() for p in model.parameters()]
-    return Checkpoint(dict(model.arch), params, cfg.seed, cfg.to_dict(), tag, flags or {})
+    return Checkpoint(dict(model.arch), model.theta.copy(), list(model.shapes), cfg.seed,
+                      asdict(cfg), tag, flags or {})
 
 
 def run_id_for(config: dict, tag: str) -> str:
@@ -198,6 +194,21 @@ def run_id_for(config: dict, tag: str) -> str:
 
 def _params_hash(flat: np.ndarray) -> str:
     return hashlib.sha256(flat.astype("<f8").tobytes()).hexdigest()[:16]
+
+
+def _start_record(model: nn.Model, eval_train: LabeledDataset, eval_test: LabeledDataset,
+                  cfg: TrainConfig, tag: str) -> RunRecord:
+    """A record holding the config, run id, init hash and metrics of the starting weights."""
+    config = asdict(cfg)
+    tr_loss, tr_acc = evaluate(model, eval_train)
+    te_loss, te_acc = evaluate(model, eval_test)
+    return RunRecord(
+        config=config, run_id=run_id_for(config, tag), tag=tag,
+        init_hash=_params_hash(model.theta),
+        init_metrics={"train_loss": tr_loss, "train_acc": tr_acc,
+                      "test_loss": te_loss, "test_acc": te_acc,
+                      "weight_norm": norm2(model.theta)},
+    )
 
 
 def new_model(cfg: TrainConfig, ds: LabeledDataset) -> nn.Model:
@@ -250,18 +261,9 @@ def train(model: nn.Model, train_ds: LabeledDataset, eval_train: LabeledDataset,
                 f"dataset {ds.name!r} has {ds.class_count} classes, model expects {model.class_count}")
 
     state = optim.make_optimizer(cfg.optimizer, cfg.lr)
-    w0 = model.flatten_parameters()
+    w0 = model.theta.copy()
     init_cp = checkpoint_of(model, cfg, "init") if out_dir else None
-
-    tr_loss0, tr_acc0 = evaluate(model, eval_train)
-    te_loss0, te_acc0 = evaluate(model, eval_test)
-    record = RunRecord(
-        config=cfg.to_dict(), run_id=run_id_for(cfg.to_dict(), tag), tag=tag,
-        init_hash=_params_hash(w0),
-        init_metrics={"train_loss": tr_loss0, "train_acc": tr_acc0,
-                      "test_loss": te_loss0, "test_acc": te_acc0,
-                      "weight_norm": norm2(w0)},
-    )
+    record = _start_record(model, eval_train, eval_test, cfg, tag)
 
     plan = BatchPlan(cfg.batch_size, batch_seed(cfg.seed))
     start_time = time.perf_counter()
@@ -286,9 +288,8 @@ def train(model: nn.Model, train_ds: LabeledDataset, eval_train: LabeledDataset,
 
         tr_loss, tr_acc = evaluate(model, eval_train)
         te_loss, te_acc = evaluate(model, eval_test)
-        w = model.flatten_parameters()
         record.rows.append(EpochRow(epoch, tr_loss, tr_acc, te_loss, te_acc,
-                                    norm2(w), norm2(w - w0),
+                                    norm2(model.theta), norm2(model.theta - w0),
                                     time.perf_counter() - start_time))
         if on_epoch is not None:
             on_epoch(record.rows[-1])
@@ -355,16 +356,7 @@ def escape_run(sad: Checkpoint, train_ds: LabeledDataset, test_ds: LabeledDatase
     model = sad.to_model(expect_kind=cfg.model_kind)
     if cfg.epochs == 0:
         cp = checkpoint_of(model, cfg, "escaped")
-        w0 = model.flatten_parameters()
-        tr_loss, tr_acc = evaluate(model, train_ds)
-        te_loss, te_acc = evaluate(model, test_ds)
-        record = RunRecord(
-            config=cfg.to_dict(), run_id=run_id_for(cfg.to_dict(), "escaped"), tag="escaped",
-            init_hash=_params_hash(w0),
-            init_metrics={"train_loss": tr_loss, "train_acc": tr_acc,
-                          "test_loss": te_loss, "test_acc": te_acc,
-                          "weight_norm": norm2(w0)},
-        )
+        record = _start_record(model, train_ds, test_ds, cfg, "escaped")
         if out_dir:
             start_cp = checkpoint_of(model, cfg, "init")
             record.run_dir = str(persist_run(out_dir, record, {"init": start_cp, "escaped": cp}))
@@ -380,14 +372,14 @@ def clean_gradient_norm(checkpoint: Checkpoint, clean_train: LabeledDataset,
     n = len(clean_train)
     if n == 0:
         raise ValidationError("cannot take gradients over an empty dataset")
-    total = np.zeros(model.parameter_count())
+    total = np.zeros_like(model.theta)
     for start in range(0, n, batch_size):
         xb = clean_train.images[start:start + batch_size]
         yb = clean_train.labels[start:start + batch_size]
         logits = model.forward(xb)
         loss = nn.cross_entropy(logits, yb)
         model.backward(loss.logit_gradient)
-        total += model.flatten_gradients() * len(yb)
+        total += model.grad * len(yb)
     return norm2(total / n)
 
 
@@ -450,10 +442,10 @@ def distance_report(pairs: list[tuple[Checkpoint, Checkpoint]]) -> DistanceRepor
 
 def save_checkpoint(cp: Checkpoint, path) -> Path:
     """SADNETv1 container: magic, length-prefixed JSON header, raw <f8 buffers."""
-    payload = b"".join(np.ascontiguousarray(p, dtype="<f8").tobytes() for p in cp.params)
+    payload = np.ascontiguousarray(cp.theta, dtype="<f8").tobytes()
     header = {
         "arch": cp.arch,
-        "shapes": [list(p.shape) for p in cp.params],
+        "shapes": [list(s) for s in cp.shapes],
         "seed": cp.seed,
         "tag": cp.tag,
         "config": cp.config,
@@ -494,7 +486,10 @@ def _check_header(path, header) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    raw = Path(path).read_bytes()
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise ValidationError(f"cannot read checkpoint {path}: {exc.strerror}") from exc
     if not raw.startswith(CHECKPOINT_MAGIC):
         raise FormatError(f"{path}: not a SADNETv1 checkpoint")
     offset = len(CHECKPOINT_MAGIC)
@@ -517,14 +512,8 @@ def load_checkpoint(path) -> Checkpoint:
     need = sum(math.prod(s) for s in shapes) * 8
     if len(payload) != need:
         raise FormatError(f"{path}: payload holds {len(payload)} bytes, shapes need {need}")
-    params = []
-    pos = 0
-    for shape in shapes:
-        n = math.prod(shape)
-        params.append(np.frombuffer(payload, dtype="<f8", count=n, offset=pos)
-                      .reshape(shape).astype(np.float64))
-        pos += n * 8
-    return Checkpoint(header["arch"], params, header["seed"], header["config"],
+    theta = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+    return Checkpoint(header["arch"], theta, shapes, header["seed"], header["config"],
                       header["tag"], header.get("flags", {}))
 
 

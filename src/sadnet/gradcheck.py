@@ -22,41 +22,34 @@ def _batch_loss(model: nn.Model, images, labels, l2: float) -> float:
     return loss.mean_loss + nn.l2_penalty(model, l2)
 
 
-def analytic_gradients(model: nn.Model, images, labels, l2: float = 0.0) -> list[np.ndarray]:
+def analytic_gradients(model: nn.Model, images, labels, l2: float = 0.0) -> np.ndarray:
     loss = nn.cross_entropy(model.forward(images), labels)
     model.backward(loss.logit_gradient)
     if l2:
         nn.add_l2_gradients(model, l2)
-    return [g.copy() for g in model.gradients()]
+    return model.grad.copy()
 
 
 def numerical_gradients(model: nn.Model, images, labels, l2: float = 0.0,
-                        h: float = H_DEFAULT) -> list[np.ndarray]:
-    """Central differences, one coordinate at a time."""
-    grads = []
-    for p in model.parameters():
-        g = np.zeros_like(p)
-        flat_p = p.ravel()
-        flat_g = g.ravel()
-        for i in range(flat_p.size):
-            orig = flat_p[i]
-            flat_p[i] = orig + h
-            up = _batch_loss(model, images, labels, l2)
-            flat_p[i] = orig - h
-            down = _batch_loss(model, images, labels, l2)
-            flat_p[i] = orig
-            flat_g[i] = (up - down) / (2.0 * h)
-        grads.append(g)
-    return grads
+                        h: float = H_DEFAULT) -> np.ndarray:
+    """Central differences, one coordinate of model.theta at a time."""
+    theta = model.theta
+    grad = np.zeros_like(theta)
+    for i in range(theta.size):
+        orig = theta[i]
+        theta[i] = orig + h
+        up = _batch_loss(model, images, labels, l2)
+        theta[i] = orig - h
+        down = _batch_loss(model, images, labels, l2)
+        theta[i] = orig
+        grad[i] = (up - down) / (2.0 * h)
+    return grad
 
 
-def max_relative_error(analytic: list[np.ndarray], numeric: list[np.ndarray],
+def max_relative_error(analytic: np.ndarray, numeric: np.ndarray,
                        floor: float = ABS_FLOOR) -> float:
-    worst = 0.0
-    for a, n in zip(analytic, numeric):
-        denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), floor)
-        worst = max(worst, float((np.abs(a - n) / denom).max()))
-    return worst
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), floor)
+    return float((np.abs(analytic - numeric) / denom).max(initial=0.0))
 
 
 def random_small_model(rng: np.random.Generator) -> nn.Model:
@@ -99,5 +92,5 @@ def gradcheck_suite(seed: int, n_models: int = 20, batch: int = 4,
             numerical_gradients(model, images, labels, l2))
         worst = max(worst, err)
         details.append({"model": model.arch.get("kind"),
-                        "params": model.parameter_count(), "l2": l2, "max_rel_err": err})
+                        "params": model.theta.size, "l2": l2, "max_rel_err": err})
     return worst, details

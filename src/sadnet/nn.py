@@ -3,6 +3,8 @@
 Models emit raw logits; softmax lives inside the cross-entropy loss so
 the logit gradient has the closed form (softmax - onehot) / batch.
 Parameter order is fixed everywhere: layer order, weights before biases.
+A Model keeps every parameter in one float64 vector `theta` and every
+gradient in one vector `grad`; each layer's params/grads are views of them.
 """
 
 from __future__ import annotations
@@ -17,11 +19,13 @@ from .errors import ShapeError, StateError, ValidationError
 
 
 class Layer:
-    """Base layer: parameter/gradient lists plus cached forward state."""
+    """Base layer: parameter shapes, the parameter/gradient views the
+    holding Model binds to them, and cached forward state."""
 
     kind = "?"
 
-    def __init__(self):
+    def __init__(self, *param_shapes: tuple):
+        self.param_shapes = param_shapes
         self.params: list[np.ndarray] = []
         self.grads: list[np.ndarray] = []
         self._cache = None
@@ -41,12 +45,11 @@ class Layer:
 class Dense(Layer):
     kind = "dense"
 
+    w = property(lambda self: self.params[0])
+    b = property(lambda self: self.params[1])
+
     def __init__(self, in_dim: int, out_dim: int):
-        super().__init__()
-        self.w = T.zeros((in_dim, out_dim))
-        self.b = T.zeros(out_dim)
-        self.params = [self.w, self.b]
-        self.grads = [T.zeros((in_dim, out_dim)), T.zeros(out_dim)]
+        super().__init__((in_dim, out_dim), (out_dim,))
 
     def forward(self, x, cache=True):
         out = T.matmul(x, self.w) + self.b
@@ -74,13 +77,12 @@ class ReLU(Layer):
 class Conv2d(Layer):
     kind = "conv"
 
+    kernels = property(lambda self: self.params[0])
+    bias = property(lambda self: self.params[1])
+
     def __init__(self, in_channels: int, out_channels: int, kernel_hw: int, pad: int):
-        super().__init__()
-        self.kernels = T.zeros((out_channels, in_channels, kernel_hw, kernel_hw))
-        self.bias = T.zeros(out_channels)
+        super().__init__((out_channels, in_channels, kernel_hw, kernel_hw), (out_channels,))
         self.pad = pad
-        self.params = [self.kernels, self.bias]
-        self.grads = [np.zeros_like(self.kernels), np.zeros_like(self.bias)]
 
     def forward(self, x, cache=True):
         out = T.conv2d_batch(x, self.kernels, self.bias, self.pad)
@@ -123,8 +125,23 @@ class Flatten(Layer):
         return delta.reshape(self._take_cache())
 
 
+def split(vec: np.ndarray, shapes: list[tuple]) -> list[np.ndarray]:
+    """Views of consecutive slices of vec, one per shape."""
+    views = []
+    offset = 0
+    for shape in shapes:
+        n = math.prod(shape)
+        views.append(vec[offset:offset + n].reshape(shape))
+        offset += n
+    return views
+
+
 class Model:
-    """Ordered layer stack mapping a batch to (batch, class_count) logits."""
+    """Ordered layer stack mapping a batch to (batch, class_count) logits.
+
+    Building it allocates `theta` and `grad` zeroed and binds each layer's
+    params/grads to views of them.
+    """
 
     def __init__(self, layers: list[Layer], input_shape: tuple, class_count: int, arch: dict):
         self.layers = layers
@@ -132,6 +149,14 @@ class Model:
         self.class_count = class_count
         self.arch = arch
         self.grads_ready = False
+        self.shapes = [s for layer in layers for s in layer.param_shapes]
+        self.theta = T.zeros(sum(math.prod(s) for s in self.shapes))
+        self.grad = T.zeros(self.theta.size)
+        params = iter(split(self.theta, self.shapes))
+        grads = iter(split(self.grad, self.shapes))
+        for layer in layers:
+            layer.params = [next(params) for _ in layer.param_shapes]
+            layer.grads = [next(grads) for _ in layer.param_shapes]
 
     def prepare_batch(self, batch: np.ndarray) -> np.ndarray:
         """Reshape (B, ...) input to the model's input shape when sizes agree."""
@@ -161,31 +186,6 @@ class Model:
     def gradients(self) -> list[np.ndarray]:
         return [g for layer in self.layers for g in layer.grads]
 
-    def zero_grads(self) -> None:
-        for g in self.gradients():
-            g[...] = 0.0
-        self.grads_ready = False
-
-    def flatten_parameters(self) -> np.ndarray:
-        """Concatenate all parameters (layer order, weights before biases)."""
-        return np.concatenate([p.ravel() for p in self.parameters()])
-
-    def flatten_gradients(self) -> np.ndarray:
-        return np.concatenate([g.ravel() for g in self.gradients()])
-
-    def set_flat_parameters(self, vec: np.ndarray) -> None:
-        vec = np.asarray(vec, dtype=np.float64)
-        offset = 0
-        for p in self.parameters():
-            n = p.size
-            p[...] = vec[offset:offset + n].reshape(p.shape)
-            offset += n
-        if offset != vec.size:
-            raise ShapeError(f"flat vector has {vec.size} entries, model needs {offset}")
-
-    def parameter_count(self) -> int:
-        return sum(p.size for p in self.parameters())
-
 
 @dataclass
 class LossValue:
@@ -214,14 +214,6 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> LossValue:
     grad[np.arange(b), labels] -= 1.0
     grad /= b
     return LossValue(mean_loss, grad)
-
-
-def forward(model: Model, batch: np.ndarray) -> np.ndarray:
-    return model.forward(batch)
-
-
-def backward(model: Model, loss: LossValue) -> None:
-    model.backward(loss.logit_gradient)
 
 
 def l2_penalty(model: Model, lam: float) -> float:

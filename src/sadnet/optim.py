@@ -12,11 +12,12 @@ from .nn import Model
 
 @dataclass
 class OptimizerState:
-    """Per-parameter moment buffers and step counter.
+    """Moment vectors, scratch vectors and step counter.
 
-    m/v are allocated lazily on the first Adam step so the state can be
-    created before the model is initialized. last_max_update records the
-    largest |delta w| of the most recent step (used by training guards).
+    m/v and the two scratch vectors are shaped like model.theta and are
+    allocated on the first Adam step, so the state can be created before
+    the model is initialized. last_max_update records the largest
+    |delta w| of the most recent step (used by training guards).
     """
 
     kind: str
@@ -24,10 +25,11 @@ class OptimizerState:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    m: list[np.ndarray] | None = None
-    v: list[np.ndarray] | None = None
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
     t: int = 0
     last_max_update: float = field(default=0.0, repr=False)
+    scratch: tuple[np.ndarray, np.ndarray] | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         if self.kind not in ("sgd", "adam"):
@@ -48,40 +50,40 @@ def _require_grads(model: Model):
 
 
 def sgd_step(model: Model, state: OptimizerState) -> None:
-    """w <- w - lr * g for every parameter."""
+    """theta <- theta - lr * grad."""
     _require_grads(model)
     state.t += 1
-    worst = 0.0
-    for p, g in zip(model.parameters(), model.gradients()):
-        p -= state.lr * g
-        gmax = float(np.max(np.abs(g))) if g.size else 0.0
-        worst = max(worst, state.lr * gmax)
-    state.last_max_update = worst
+    model.theta -= state.lr * model.grad
+    state.last_max_update = state.lr * float(np.abs(model.grad).max(initial=0.0))
 
 
 def adam_step(model: Model, state: OptimizerState) -> None:
-    """Adam update with bias correction; eps added outside the square root."""
+    """Adam update with bias correction; eps added outside the square root.
+
+    In place on m, v and the scratch vectors; the update is
+    (lr * (m / (1 - b1**t))) / (sqrt(v / (1 - b2**t)) + eps).
+    """
     _require_grads(model)
-    params = model.parameters()
-    grads = model.gradients()
+    g = model.grad
     if state.m is None:
-        state.m = [np.zeros_like(p) for p in params]
-        state.v = [np.zeros_like(p) for p in params]
+        state.m, state.v = np.zeros_like(g), np.zeros_like(g)
+        state.scratch = (np.empty_like(g), np.empty_like(g))
+    m, v, (update, denom) = state.m, state.v, state.scratch
     state.t += 1
     b1, b2 = state.beta1, state.beta2
-    c1 = 1.0 - b1 ** state.t
-    c2 = 1.0 - b2 ** state.t
-    worst = 0.0
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        update = state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
-        p -= update
-        if update.size:
-            worst = max(worst, float(np.max(np.abs(update))))
-    state.last_max_update = worst
+    m *= b1
+    m += np.multiply(g, 1.0 - b1, out=update)
+    v *= b2
+    np.multiply(g, 1.0 - b2, out=update)
+    update *= g
+    v += update
+    np.sqrt(np.divide(v, 1.0 - b2 ** state.t, out=denom), out=denom)
+    denom += state.eps
+    np.divide(m, 1.0 - b1 ** state.t, out=update)
+    update *= state.lr
+    update /= denom
+    model.theta -= update
+    state.last_max_update = float(np.abs(update, out=denom).max(initial=0.0))
 
 
 def step(model: Model, state: OptimizerState) -> None:

@@ -135,6 +135,42 @@ class TestTrainCommand:
         assert run(["train", "--config", str(cfg_file), "--epochs", "1"]) == 1
         assert "momentum" in capsys.readouterr().err
 
+    def test_config_value_of_wrong_type(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("lr=abc\n")
+        assert run(["train", "--config", str(cfg_file), "--epochs", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "lr" in err
+
+    def test_missing_config_file(self, tmp_path, capsys):
+        assert run(["train", "--config", str(tmp_path / "absent.cfg"), "--epochs", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "absent.cfg" in err
+
+    def test_config_file_not_utf8(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_bytes(b"lr=\xff\xfe\n")
+        assert run(["train", "--config", str(cfg_file), "--epochs", "1"]) == 1
+        assert "UTF-8" in capsys.readouterr().err
+
+    def test_missing_cifar_batch(self, tmp_path, capsys):
+        assert run(["fixtures", "--out-dir", str(tmp_path / "fx")]) == 0
+        (tmp_path / "fx" / "cifar10" / "data_batch_2.bin").unlink()
+        code = run(["train", "--dataset", "cifar10", "--data-dir", str(tmp_path / "fx" / "cifar10"),
+                    "--epochs", "1", "--out-dir", str(tmp_path / "runs")])
+        assert code == 1
+        assert "data_batch_2.bin" in capsys.readouterr().err
+
+    def test_corrupt_gzip_exits_2(self, tmp_path, capsys):
+        assert run(["fixtures", "--out-dir", str(tmp_path / "fx")]) == 0
+        mnist = tmp_path / "fx" / "mnist-gz"
+        gz = next(mnist.glob("train-images*.gz"))
+        gz.write_bytes(gz.read_bytes()[:-12])
+        code = run(["train", "--dataset", "mnist", "--data-dir", str(mnist), "--epochs", "1",
+                    "--out-dir", str(tmp_path / "runs")])
+        assert code == 2
+        assert "gzip" in capsys.readouterr().err
+
     def test_env_var_data_dir(self, tmp_path, monkeypatch):
         assert run(["fixtures", "--out-dir", str(tmp_path / "fx")]) == 0
         monkeypatch.setenv("SADNET_DATA_DIR", str(tmp_path / "fx" / "mnist"))
@@ -178,6 +214,12 @@ class TestPipelineCommands:
         code = run(tiny_args("escape", out, epochs=1, **{"from_checkpoint": ckpt}))
         assert code == 2
         assert "checksum" in capsys.readouterr().err
+
+    def test_missing_checkpoint_exits_1(self, tmp_path, capsys):
+        code = run(tiny_args("escape", tmp_path, epochs=1,
+                             **{"from_checkpoint": tmp_path / "absent.ckpt"}))
+        assert code == 1
+        assert "absent.ckpt" in capsys.readouterr().err
 
     def test_malformed_header_exits_2(self, tmp_path, capsys):
         out = tmp_path / "runs"

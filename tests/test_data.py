@@ -42,6 +42,21 @@ class TestLoadIdx:
         np.testing.assert_array_equal(plain.images, zipped.images)
         np.testing.assert_array_equal(plain.labels, zipped.labels)
 
+    @pytest.mark.parametrize("mangle", [
+        lambda gz: gz[:-12],                            # stream ends early
+        lambda gz: gz[:2] + b"\x07" + gz[3:],           # unknown compression method
+        lambda gz: gz[:12] + bytes(b ^ 0x5A for b in gz[12:]),  # garbled deflate body
+    ], ids=["truncated", "bad-method", "garbled"])
+    def test_corrupt_gzip_is_format_error(self, tmp_path, idx_pair, mangle):
+        bad = tmp_path / "bad.gz"
+        bad.write_bytes(mangle(gzip.compress(idx_pair[0].read_bytes())))
+        with pytest.raises(FormatError, match="gzip"):
+            load_idx(bad, idx_pair[1])
+
+    def test_missing_file(self, tmp_path, idx_pair):
+        with pytest.raises(ValidationError, match="absent"):
+            load_idx(tmp_path / "absent", idx_pair[1])
+
     def test_wrong_magic(self, tmp_path, idx_pair):
         bad = tmp_path / "bad"
         bad.write_bytes(b"\x00\x00\x08\x05" + b"\x00" * 32)
@@ -104,6 +119,12 @@ class TestLoadCifar10:
         _, test = load_cifar10(tmp_path)
         np.testing.assert_array_equal(test.images[0, 0], 1.0)
         np.testing.assert_array_equal(test.images[0, 1], 0.0)
+
+    def test_missing_train_batch(self, tmp_path):
+        write_cifar10_fixture(tmp_path)
+        (tmp_path / "data_batch_3.bin").unlink()
+        with pytest.raises(ValidationError, match="data_batch_3"):
+            load_cifar10(tmp_path)
 
     def test_bad_record_length(self, tmp_path):
         for i in range(1, 6):

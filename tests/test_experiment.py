@@ -7,6 +7,7 @@ fast; the full-size campaigns live in the acceptance suite.
 import json
 import math
 import struct
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -50,8 +51,8 @@ class TestTrainConfig:
 
     def test_run_id_deterministic(self):
         cfg = blob_config()
-        assert run_id_for(cfg.to_dict(), "clean") == run_id_for(cfg.to_dict(), "clean")
-        assert run_id_for(cfg.to_dict(), "clean") != run_id_for(cfg.to_dict(), "sad")
+        assert run_id_for(asdict(cfg), "clean") == run_id_for(asdict(cfg), "clean")
+        assert run_id_for(asdict(cfg), "clean") != run_id_for(asdict(cfg), "sad")
 
 
 class TestTrain:
@@ -352,6 +353,10 @@ class TestCheckpointIO:
         with pytest.raises(FormatError, match="checksum"):
             load_checkpoint(path)
 
+    def test_missing_path(self, tmp_path):
+        with pytest.raises(ValidationError, match="absent.ckpt"):
+            load_checkpoint(tmp_path / "absent.ckpt")
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"NOTACKPT" + bytes(64))
@@ -390,11 +395,11 @@ class TestCheckpointIO:
         train_ds, test_ds = blob_pair
         cfg = blob_config(epochs=1)
         model = new_model(cfg, train_ds)
-        w_init = model.flatten_parameters().copy()
+        w_init = model.theta.copy()
         _, rec = train(model, train_ds, train_ds, test_ds, cfg, out_dir=tmp_path)
         loaded = load_checkpoint(tmp_path / rec.run_id / "init.ckpt")
         np.testing.assert_array_equal(loaded.flat(), w_init)
-        np.testing.assert_array_equal(new_model(cfg, train_ds).flatten_parameters(), w_init)
+        np.testing.assert_array_equal(new_model(cfg, train_ds).theta, w_init)
 
     def test_header_not_an_object(self, blob_pair, tmp_path):
         path = self._rewrite_header(blob_pair, tmp_path, lambda h: [h])

@@ -12,7 +12,9 @@ import pytest
 
 from sadnet import nn
 from sadnet.errors import ShapeError, StateError, ValidationError
-from sadnet.gradcheck import analytic_gradients, max_relative_error, numerical_gradients
+from sadnet.experiment import Checkpoint
+from sadnet.gradcheck import (analytic_gradients, max_relative_error, numerical_gradients,
+                              random_small_model)
 
 
 def two_matmul_oracle(x, w1, b1, w2, b2):
@@ -24,11 +26,11 @@ def two_matmul_oracle(x, w1, b1, w2, b2):
 class TestBuilders:
     def test_mlp_parameter_count_mnist_shape(self):
         model = nn.build_mlp(784, 512, 10)
-        assert model.parameter_count() == 784 * 512 + 512 + 512 * 10 + 10 == 407050
+        assert model.theta.size == 784 * 512 + 512 + 512 * 10 + 10 == 407050
 
     def test_mlp_parameter_count_cifar_shape(self):
         model = nn.build_mlp(3072, 512, 10)
-        assert model.parameter_count() == 3072 * 512 + 512 + 512 * 10 + 10
+        assert model.theta.size == 3072 * 512 + 512 + 512 * 10 + 10
 
     def test_minimal_mlp_forward_gives_output_bias(self):
         model = nn.build_mlp(4, 1, 2)
@@ -117,10 +119,12 @@ class TestForward:
         rng = np.random.default_rng(7)
         model = nn.build_mlp(5, 4, 3)
         nn.init_xavier_uniform(model, rng)
-        flat = model.flatten_parameters()
+        flat = model.theta.copy()
         other = nn.build_mlp(5, 4, 3)
-        other.set_flat_parameters(flat)
-        np.testing.assert_array_equal(other.flatten_parameters(), flat)
+        other.theta[...] = flat
+        np.testing.assert_array_equal(other.theta, flat)
+        for a, b in zip(other.parameters(), model.parameters()):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestCrossEntropy:
@@ -267,7 +271,7 @@ class TestXavier:
         m2 = nn.build_mlp(10, 5, 3)
         nn.init_xavier_uniform(m1, np.random.default_rng(17))
         nn.init_xavier_uniform(m2, np.random.default_rng(17))
-        np.testing.assert_array_equal(m1.flatten_parameters(), m2.flatten_parameters())
+        np.testing.assert_array_equal(m1.theta, m2.theta)
 
     def test_init_loss_near_ln_k(self):
         rng = np.random.default_rng(18)
@@ -287,3 +291,44 @@ class TestXavier:
         a, _ = T.maxpool2d_batch(T.relu(x), 2)
         b = T.relu(T.maxpool2d_batch(x, 2)[0])
         np.testing.assert_array_equal(a, b)
+
+
+def _gradcheck_cnn():
+    rng = np.random.default_rng(0)
+    while True:
+        model = random_small_model(rng)
+        if model.arch["kind"] == "gradcheck-cnn":
+            return model
+
+
+def _restored_cnn():
+    model = nn.build_cnn(1, 8, 4)
+    nn.init_xavier_uniform(model, np.random.default_rng(3))
+    cp = Checkpoint(model.arch, model.theta.copy(), list(model.shapes), 0, {}, "t")
+    return cp.to_model()
+
+
+class TestParameterStore:
+    @pytest.mark.parametrize("make", [
+        lambda: nn.build_mlp(6, 5, 3),
+        lambda: nn.build_cnn(1, 8, 4),
+        _gradcheck_cnn,
+        _restored_cnn,
+    ], ids=["mlp", "cnn", "gradcheck-cnn", "checkpoint"])
+    def test_layers_view_the_model_vectors_in_canonical_order(self, make):
+        model = make()
+        offset = 0
+        for layer in model.layers:
+            aliases = {"dense": ("w", "b"), "conv": ("kernels", "bias")}.get(layer.kind, ())
+            assert len(layer.params) == len(layer.grads) == len(aliases)
+            for name, p, g in zip(aliases, layer.params, layer.grads):
+                assert getattr(layer, name) is p
+                with pytest.raises(AttributeError):
+                    setattr(layer, name, p.copy())
+                for view, vec in ((p, model.theta), (g, model.grad)):
+                    assert view.base is vec
+                    assert view.flags.c_contiguous
+                    assert view.ctypes.data == vec.ctypes.data + 8 * offset
+                offset += p.size
+        assert offset == model.theta.size == model.grad.size
+        assert model.shapes == [p.shape for p in model.parameters()]
