@@ -29,24 +29,29 @@ from .gradcheck import REL_TOLERANCE, gradcheck_suite
 
 _SUBSET_STREAM = 808
 
-# name -> (type, default); a None default means "required by some subcommands"
+# name -> (type, default, choices); each name is a config-file key and, with
+# dashes, a flag. A None default means "required by some subcommands".
 _OPTIONS = {
-    "dataset": (str, "synth"),
-    "data_dir": (str, None),
-    "model": (str, "mlp"),
-    "optimizer": (str, "adam"),
-    "lr": (float, 0.001),
-    "batch_size": (int, 128),
-    "epochs": (int, None),
-    "l2": (float, 0.0),
-    "seed": (int, 0),
-    "data_seed": (int, 0),
-    "hidden": (int, 512),
-    "train_subset": (int, None),
-    "test_subset": (int, None),
-    "stop_at_train_acc": (float, None),
-    "out_dir": (str, "runs"),
+    "dataset": (str, "synth", ("mnist", "fashion-mnist", "cifar10", "synth")),
+    "data_dir": (str, None, None),
+    "model": (str, "mlp", ("mlp", "cnn")),
+    "optimizer": (str, "adam", ("adam", "sgd")),
+    "lr": (float, 0.001, None),
+    "batch_size": (int, 128, None),
+    "epochs": (int, None, None),
+    "l2": (float, 0.0, None),
+    "seed": (int, 0, None),
+    "data_seed": (int, 0, None),
+    "hidden": (int, 512, None),
+    "train_subset": (int, None, None),
+    "test_subset": (int, None, None),
+    "stop_at_train_acc": (float, None, None),
+    "out_dir": (str, "runs", None),
 }
+
+# option names that differ from their TrainConfig field; data_dir and out_dir
+# say where data and runs live and are not part of the config
+_CONFIG_FIELDS = {"model": "model_kind", "l2": "l2_lambda"}
 
 _EPOCH_DEFAULTS = {"train": 30, "sadpoint": 200, "escape": 50}
 
@@ -58,21 +63,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_common(parser: _Parser):
     parser.add_argument("--config", help="key=value file; explicit flags win")
-    parser.add_argument("--dataset", choices=["mnist", "fashion-mnist", "cifar10", "synth"])
-    parser.add_argument("--data-dir", dest="data_dir")
-    parser.add_argument("--model", choices=["mlp", "cnn"])
-    parser.add_argument("--optimizer", choices=["adam", "sgd"])
-    parser.add_argument("--lr", type=float)
-    parser.add_argument("--batch-size", dest="batch_size", type=int)
-    parser.add_argument("--epochs", type=int)
-    parser.add_argument("--l2", type=float)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--data-seed", dest="data_seed", type=int)
-    parser.add_argument("--hidden", type=int)
-    parser.add_argument("--train-subset", dest="train_subset", type=int)
-    parser.add_argument("--test-subset", dest="test_subset", type=int)
-    parser.add_argument("--stop-at-train-acc", dest="stop_at_train_acc", type=float)
-    parser.add_argument("--out-dir", dest="out_dir")
+    for name, (typ, _, choices) in _OPTIONS.items():
+        parser.add_argument("--" + name.replace("_", "-"), dest=name, type=typ, choices=choices)
     parser.add_argument("--progress", action="store_true")
 
 
@@ -124,7 +116,7 @@ def _resolve_options(ns) -> dict:
     if unknown:
         raise ValidationError(f"unknown config keys: {sorted(unknown)}")
     resolved = {}
-    for name, (typ, default) in _OPTIONS.items():
+    for name, (typ, default, choices) in _OPTIONS.items():
         flag_value = getattr(ns, name, None)
         if flag_value is not None:
             resolved[name] = flag_value
@@ -134,6 +126,9 @@ def _resolve_options(ns) -> dict:
             except ValueError:
                 raise ValidationError(
                     f"config key {name}: {from_file[name]!r} is not a {typ.__name__}") from None
+            if choices is not None and resolved[name] not in choices:
+                raise ValidationError(
+                    f"config key {name}: {from_file[name]!r} is not one of {', '.join(choices)}")
         else:
             resolved[name] = default
     if resolved["data_dir"] is None:
@@ -181,13 +176,8 @@ def _load_datasets(opts: dict):
 
 
 def _config_from(opts: dict) -> TrainConfig:
-    return TrainConfig(
-        model_kind=opts["model"], optimizer=opts["optimizer"], lr=opts["lr"],
-        batch_size=opts["batch_size"], epochs=opts["epochs"], l2_lambda=opts["l2"],
-        seed=opts["seed"], data_seed=opts["data_seed"], hidden=opts["hidden"],
-        dataset=opts["dataset"], train_subset=opts["train_subset"],
-        test_subset=opts["test_subset"], stop_at_train_acc=opts["stop_at_train_acc"],
-    )
+    return TrainConfig(**{_CONFIG_FIELDS.get(name, name): value
+                          for name, value in opts.items() if name not in ("data_dir", "out_dir")})
 
 
 def _progress_printer(enabled: bool):
@@ -215,8 +205,8 @@ def _cmd_train(ns) -> int:
     opts = _resolve_options(ns)
     if opts["epochs"] < 1:
         raise ValidationError("train requires --epochs >= 1")
-    train_ds, test_ds = _load_datasets(opts)
     cfg = _config_from(opts)
+    train_ds, test_ds = _load_datasets(opts)
     model = new_model(cfg, train_ds)
     _, record = train(model, train_ds, train_ds, test_ds, cfg, out_dir=opts["out_dir"],
                       tag="clean", on_epoch=_progress_printer(ns.progress))
@@ -228,8 +218,8 @@ def _cmd_sadpoint(ns) -> int:
     opts = _resolve_options(ns)
     if opts["epochs"] < 1:
         raise ValidationError("sadpoint requires --epochs >= 1")
-    train_ds, test_ds = _load_datasets(opts)
     cfg = _config_from(opts)
+    train_ds, test_ds = _load_datasets(opts)
     cp, record = construct_sad_point(train_ds, test_ds, cfg, out_dir=opts["out_dir"],
                                      on_epoch=_progress_printer(ns.progress))
     _summarize(record, "sad")
@@ -241,11 +231,9 @@ def _cmd_escape(ns) -> int:
     opts = _resolve_options(ns)
     if not ns.from_checkpoint:
         raise ValidationError("escape requires --from-checkpoint")
-    if opts["epochs"] < 0:
-        raise ValidationError("escape requires --epochs >= 0")
+    cfg = _config_from(opts)
     cp = load_checkpoint(ns.from_checkpoint)
     train_ds, test_ds = _load_datasets(opts)
-    cfg = _config_from(opts)
     _, record = escape_run(cp, train_ds, test_ds, cfg, out_dir=opts["out_dir"],
                            on_epoch=_progress_printer(ns.progress))
     _summarize(record, "escaped")

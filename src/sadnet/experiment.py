@@ -20,9 +20,10 @@ import hashlib
 import io
 import json
 import math
+import os
 import struct
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -81,6 +82,12 @@ class TrainConfig:
             raise ValidationError(f"batch_size must be positive, got {self.batch_size}")
         if self.epochs < 0:
             raise ValidationError(f"epochs must be >= 0, got {self.epochs}")
+        if self.hidden < 1:
+            raise ValidationError(f"hidden must be >= 1, got {self.hidden}")
+        for name in ("train_subset", "test_subset"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValidationError(f"{name} must be >= 1 when set, got {value}")
         if self.l2_lambda < 0:
             raise ValidationError(f"l2_lambda must be >= 0, got {self.l2_lambda}")
         if self.stop_at_train_acc is not None and not 0.0 <= self.stop_at_train_acc <= 1.0:
@@ -89,6 +96,8 @@ class TrainConfig:
 
 @dataclass
 class EpochRow:
+    """One epoch's clean metrics; the field order is the CSV column order."""
+
     epoch: int
     train_loss: float
     train_acc: float
@@ -97,12 +106,6 @@ class EpochRow:
     weight_norm: float
     dist_from_init: float
     elapsed_sec: float
-
-    CSV_COLUMNS = ("epoch", "train_loss", "train_acc", "test_loss", "test_acc",
-                   "weight_norm", "dist_from_init", "elapsed_sec")
-
-    def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in self.CSV_COLUMNS}
 
 
 @dataclass
@@ -122,28 +125,26 @@ class RunRecord:
                 "init_hash": self.init_hash, "config": self.config,
                 "init_metrics": self.init_metrics}
 
-    def to_jsonl(self) -> str:
+    def _jsonl(self, drop: tuple[str, ...] = ()) -> str:
         lines = [_canon_json(self.header())]
         for row in self.rows:
-            lines.append(_canon_json({"type": "epoch", **row.to_dict()}))
+            values = {k: v for k, v in asdict(row).items() if k not in drop}
+            lines.append(_canon_json({"type": "epoch", **values}))
         return "\n".join(lines) + "\n"
+
+    def to_jsonl(self) -> str:
+        return self._jsonl()
 
     def deterministic_payload(self) -> bytes:
         """JSONL payload with wall-clock timing stripped; byte-identical
         across runs of the same config on the same platform."""
-        lines = [_canon_json(self.header())]
-        for row in self.rows:
-            d = row.to_dict()
-            d.pop("elapsed_sec")
-            lines.append(_canon_json({"type": "epoch", **d}))
-        return ("\n".join(lines) + "\n").encode()
+        return self._jsonl(drop=("elapsed_sec",)).encode()
 
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf)
-        writer.writerow(EpochRow.CSV_COLUMNS)
-        for row in self.rows:
-            writer.writerow([row.to_dict()[c] for c in EpochRow.CSV_COLUMNS])
+        writer.writerow(f.name for f in fields(EpochRow))
+        writer.writerows(astuple(row) for row in self.rows)
         return buf.getvalue()
 
 
@@ -162,9 +163,6 @@ class Checkpoint:
     @property
     def params(self) -> list[np.ndarray]:
         return nn.split(self.theta, self.shapes)
-
-    def flat(self) -> np.ndarray:
-        return self.theta
 
     def to_model(self, expect_kind: str | None = None) -> nn.Model:
         if expect_kind is not None and self.arch.get("kind") != expect_kind:
@@ -194,21 +192,6 @@ def run_id_for(config: dict, tag: str) -> str:
 
 def _params_hash(flat: np.ndarray) -> str:
     return hashlib.sha256(flat.astype("<f8").tobytes()).hexdigest()[:16]
-
-
-def _start_record(model: nn.Model, eval_train: LabeledDataset, eval_test: LabeledDataset,
-                  cfg: TrainConfig, tag: str) -> RunRecord:
-    """A record holding the config, run id, init hash and metrics of the starting weights."""
-    config = asdict(cfg)
-    tr_loss, tr_acc = evaluate(model, eval_train)
-    te_loss, te_acc = evaluate(model, eval_test)
-    return RunRecord(
-        config=config, run_id=run_id_for(config, tag), tag=tag,
-        init_hash=_params_hash(model.theta),
-        init_metrics={"train_loss": tr_loss, "train_acc": tr_acc,
-                      "test_loss": te_loss, "test_acc": te_acc,
-                      "weight_norm": norm2(model.theta)},
-    )
 
 
 def new_model(cfg: TrainConfig, ds: LabeledDataset) -> nn.Model:
@@ -251,19 +234,30 @@ def train(model: nn.Model, train_ds: LabeledDataset, eval_train: LabeledDataset,
 
     Metrics rows are evaluated on eval_train/eval_test (the clean sets,
     even when train_ds is corrupted). Early stop triggers when accuracy
-    on train_ds itself reaches cfg.stop_at_train_acc.
+    on train_ds itself reaches cfg.stop_at_train_acc. With cfg.epochs == 0
+    no step is taken: rows stay empty and the returned weights are the
+    start weights. The returned checkpoint's 'saturated' flag records
+    whether the last clean metrics meet accuracy >= 0.98 on eval_train and
+    <= 2/k on eval_test. With out_dir, the run directory gets the metrics
+    and the init and final checkpoints.
     """
-    if cfg.epochs < 1:
-        raise ValidationError("train requires epochs >= 1")
     for ds in (train_ds, eval_train, eval_test):
         if ds.class_count != model.class_count:
             raise ConsistencyError(
                 f"dataset {ds.name!r} has {ds.class_count} classes, model expects {model.class_count}")
 
     state = optim.make_optimizer(cfg.optimizer, cfg.lr)
-    w0 = model.theta.copy()
-    init_cp = checkpoint_of(model, cfg, "init") if out_dir else None
-    record = _start_record(model, eval_train, eval_test, cfg, tag)
+    init_cp = checkpoint_of(model, cfg, "init")
+    config = asdict(cfg)
+    tr_loss, tr_acc = evaluate(model, eval_train)
+    te_loss, te_acc = evaluate(model, eval_test)
+    record = RunRecord(
+        config=config, run_id=run_id_for(config, tag), tag=tag,
+        init_hash=_params_hash(init_cp.theta),
+        init_metrics={"train_loss": tr_loss, "train_acc": tr_acc,
+                      "test_loss": te_loss, "test_acc": te_acc,
+                      "weight_norm": norm2(init_cp.theta)},
+    )
 
     plan = BatchPlan(cfg.batch_size, batch_seed(cfg.seed))
     start_time = time.perf_counter()
@@ -289,7 +283,7 @@ def train(model: nn.Model, train_ds: LabeledDataset, eval_train: LabeledDataset,
         tr_loss, tr_acc = evaluate(model, eval_train)
         te_loss, te_acc = evaluate(model, eval_test)
         record.rows.append(EpochRow(epoch, tr_loss, tr_acc, te_loss, te_acc,
-                                    norm2(model.theta), norm2(model.theta - w0),
+                                    norm2(model.theta), norm2(model.theta - init_cp.theta),
                                     time.perf_counter() - start_time))
         if on_epoch is not None:
             on_epoch(record.rows[-1])
@@ -306,11 +300,11 @@ def train(model: nn.Model, train_ds: LabeledDataset, eval_train: LabeledDataset,
                 break
 
     if train_set_acc is None:
-        train_set_acc = record.rows[-1].train_acc if train_ds is eval_train \
-            else evaluate(model, train_ds)[1]
+        train_set_acc = tr_acc if train_ds is eval_train else evaluate(model, train_ds)[1]
     record.train_set_final_acc = train_set_acc
 
-    cp = checkpoint_of(model, cfg, tag)
+    saturated = bool(tr_acc >= 0.98 and te_acc <= 2.0 / model.class_count)
+    cp = checkpoint_of(model, cfg, tag, flags={"saturated": saturated})
     if out_dir:
         record.run_dir = str(persist_run(out_dir, record, {"init": init_cp, tag: cp}))
     return cp, record
@@ -324,26 +318,17 @@ def construct_sad_point(train_ds: LabeledDataset, test_ds: LabeledDataset,
 
     Unless cfg sets its own stop_at_train_acc, training stops once
     corrupted-train accuracy reaches default_stop (pass None to always
-    run the full epoch budget, which minimizes more deeply). The
-    checkpoint's 'saturated' flag records whether the run actually met
-    accuracy >= 0.98 on the original train set and <= 2/k on the
-    original test set; an unsaturated run is returned, not raised.
+    run the full epoch budget, which minimizes more deeply). An
+    unsaturated run (see train's 'saturated' flag) is returned, not raised.
     """
     if train_ds.class_count != test_ds.class_count:
         raise ConsistencyError("train/test class counts differ")
     corrupted_test = corrupt_labels(test_ds, corruption_rng(cfg.seed))
     corrupted_train = build_corrupted_train(train_ds, corrupted_test)
-    model = new_model(cfg, train_ds)
-    init_cp = checkpoint_of(model, cfg, "init")
-    run_cfg = cfg if cfg.stop_at_train_acc is not None or default_stop is None \
-        else replace(cfg, stop_at_train_acc=default_stop)
-    cp, record = train(model, corrupted_train, train_ds, test_ds, run_cfg, tag="sad",
-                       on_epoch=on_epoch)
-    last = record.rows[-1]
-    cp.flags["saturated"] = bool(last.train_acc >= 0.98 and last.test_acc <= 2.0 / train_ds.class_count)
-    if out_dir:
-        record.run_dir = str(persist_run(out_dir, record, {"init": init_cp, "sad": cp}))
-    return cp, record
+    if cfg.stop_at_train_acc is None and default_stop is not None:
+        cfg = replace(cfg, stop_at_train_acc=default_stop)
+    return train(new_model(cfg, train_ds), corrupted_train, train_ds, test_ds, cfg, out_dir,
+                 tag="sad", on_epoch=on_epoch)
 
 
 def escape_run(sad: Checkpoint, train_ds: LabeledDataset, test_ds: LabeledDataset,
@@ -353,16 +338,8 @@ def escape_run(sad: Checkpoint, train_ds: LabeledDataset, test_ds: LabeledDatase
     dist_from_init in the returned record is measured from the sad
     weights. epochs == 0 returns the starting weights unchanged.
     """
-    model = sad.to_model(expect_kind=cfg.model_kind)
-    if cfg.epochs == 0:
-        cp = checkpoint_of(model, cfg, "escaped")
-        record = _start_record(model, train_ds, test_ds, cfg, "escaped")
-        if out_dir:
-            start_cp = checkpoint_of(model, cfg, "init")
-            record.run_dir = str(persist_run(out_dir, record, {"init": start_cp, "escaped": cp}))
-        return cp, record
-    return train(model, train_ds, train_ds, test_ds, cfg, out_dir, tag="escaped",
-                 on_epoch=on_epoch)
+    return train(sad.to_model(expect_kind=cfg.model_kind), train_ds, train_ds, test_ds, cfg,
+                 out_dir, tag="escaped", on_epoch=on_epoch)
 
 
 def clean_gradient_norm(checkpoint: Checkpoint, clean_train: LabeledDataset,
@@ -424,7 +401,7 @@ def distance_report(pairs: list[tuple[Checkpoint, Checkpoint]]) -> DistanceRepor
         if init_cp.arch != final_cp.arch:
             raise CheckpointError(
                 f"pair mixes architectures: {init_cp.arch} vs {final_cp.arch}")
-        w0, w1 = init_cp.flat(), final_cp.flat()
+        w0, w1 = init_cp.theta, final_cp.theta
         counts, edges = np.histogram(w1, bins=64)
         entries.append({
             "tag": final_cp.tag,
@@ -455,12 +432,23 @@ def save_checkpoint(cp: Checkpoint, path) -> Path:
     header_bytes = _canon_json(header).encode()
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack(">Q", len(header_bytes)))
-        fh.write(header_bytes)
-        fh.write(payload)
+    _write_atomic(path, CHECKPOINT_MAGIC, struct.pack(">Q", len(header_bytes)),
+                  header_bytes, payload)
     return path
+
+
+def _write_atomic(path: Path, *chunks: bytes) -> None:
+    """Write chunks to a sibling temporary file, then rename it over path,
+    so that path holds either its old content or all of the new."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with tmp.open("wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 _HEADER_TYPES = {"arch": dict, "shapes": list, "seed": int, "config": dict, "tag": str,
@@ -522,9 +510,8 @@ def persist_run(out_dir, record: RunRecord, checkpoints: dict[str, Checkpoint]) 
     out_dir/<run_id>/."""
     run_dir = Path(out_dir) / record.run_id
     run_dir.mkdir(parents=True, exist_ok=True)
-    (run_dir / "metrics.jsonl").write_text(record.to_jsonl())
-    (run_dir / "metrics.csv").write_text(record.to_csv())
+    _write_atomic(run_dir / "metrics.jsonl", record.to_jsonl().encode())
+    _write_atomic(run_dir / "metrics.csv", record.to_csv().encode())
     for name, cp in checkpoints.items():
-        if cp is not None:
-            save_checkpoint(cp, run_dir / f"{name}.ckpt")
+        save_checkpoint(cp, run_dir / f"{name}.ckpt")
     return run_dir

@@ -16,8 +16,9 @@ class OptimizerState:
 
     m/v and the two scratch vectors are shaped like model.theta and are
     allocated on the first Adam step, so the state can be created before
-    the model is initialized. last_max_update records the largest
-    |delta w| of the most recent step (used by training guards).
+    the model is initialized. Each Adam step sets last_max_update to the
+    largest |delta w| of its update (read by the training guard); SGD
+    steps leave it unchanged.
     """
 
     kind: str
@@ -54,7 +55,6 @@ def sgd_step(model: Model, state: OptimizerState) -> None:
     _require_grads(model)
     state.t += 1
     model.theta -= state.lr * model.grad
-    state.last_max_update = state.lr * float(np.abs(model.grad).max(initial=0.0))
 
 
 def adam_step(model: Model, state: OptimizerState) -> None:

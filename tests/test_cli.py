@@ -50,6 +50,26 @@ class TestValidation:
         assert code == 1
         assert "data" in capsys.readouterr().err.lower()
 
+    # 0 is rejected, not read as "unset", and nothing is written
+    @pytest.mark.parametrize("option,value", [("hidden", -5), ("hidden", 0),
+                                              ("train_subset", -5), ("train_subset", 0),
+                                              ("test_subset", 0)])
+    def test_bad_size_rejected(self, tmp_path, capsys, option, value):
+        code = run(tiny_args("train", tmp_path, epochs=1, **{option: value}))
+        assert code == 1
+        assert option in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_config_file_value_outside_choices(self, tmp_path, capsys):
+        assert run(["fixtures", "--out-dir", str(tmp_path / "fx")]) == 0
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("dataset=imagenet\n")
+        code = run(["train", "--config", str(cfg_file), "--data-dir", str(tmp_path / "fx" / "cifar10"),
+                    "--epochs", "1", "--out-dir", str(tmp_path / "runs")])
+        assert code == 1
+        assert "imagenet" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
     def test_escape_requires_checkpoint(self, tmp_path, capsys):
         code = run(tiny_args("escape", tmp_path, epochs=1))
         assert code == 1
@@ -113,8 +133,8 @@ class TestTrainCommand:
             ra.pop("elapsed_sec", None)
             rb.pop("elapsed_sec", None)
         assert rows_a == rows_b
-        np.testing.assert_array_equal(load_checkpoint(a / "clean.ckpt").flat(),
-                                      load_checkpoint(b / "clean.ckpt").flat())
+        np.testing.assert_array_equal(load_checkpoint(a / "clean.ckpt").theta,
+                                      load_checkpoint(b / "clean.ckpt").theta)
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"

@@ -7,11 +7,12 @@ fast; the full-size campaigns live in the acceptance suite.
 import json
 import math
 import struct
-from dataclasses import asdict
+from dataclasses import asdict, astuple
 
 import numpy as np
 import pytest
 
+from sadnet import experiment
 from sadnet.data import LabeledDataset, build_corrupted_train, corrupt_labels
 from sadnet.errors import (CheckpointError, ConsistencyError, FormatError,
                            ValidationError)
@@ -48,6 +49,9 @@ class TestTrainConfig:
             TrainConfig(stop_at_train_acc=1.5)
         with pytest.raises(ValidationError):
             TrainConfig(model_kind="resnet")
+        for field, value in (("hidden", 0), ("train_subset", 0), ("test_subset", -5)):
+            with pytest.raises(ValidationError, match=field):
+                TrainConfig(**{field: value})
 
     def test_run_id_deterministic(self):
         cfg = blob_config()
@@ -56,12 +60,18 @@ class TestTrainConfig:
 
 
 class TestTrain:
-    def test_zero_epochs_rejected(self, blob_pair):
+    def test_zero_epochs_returns_start_weights(self, blob_pair, tmp_path):
         train_ds, test_ds = blob_pair
         cfg = blob_config(epochs=0)
         model = new_model(cfg, train_ds)
-        with pytest.raises(ValidationError):
-            train(model, train_ds, train_ds, test_ds, cfg)
+        w0 = model.theta.copy()
+        cp, rec = train(model, train_ds, train_ds, test_ds, cfg, out_dir=tmp_path)
+        assert rec.rows == []
+        np.testing.assert_array_equal(cp.theta, w0)
+        assert rec.train_set_final_acc == rec.init_metrics["train_acc"]
+        run_dir = tmp_path / rec.run_id
+        np.testing.assert_array_equal(load_checkpoint(run_dir / "init.ckpt").theta, w0)
+        np.testing.assert_array_equal(load_checkpoint(run_dir / "clean.ckpt").theta, w0)
 
     def test_single_epoch_single_row(self, blob_pair):
         train_ds, test_ds = blob_pair
@@ -89,7 +99,7 @@ class TestTrain:
         cfg = blob_config(epochs=3)
         cp1, rec1 = train(new_model(cfg, train_ds), train_ds, train_ds, test_ds, cfg)
         cp2, rec2 = train(new_model(cfg, train_ds), train_ds, train_ds, test_ds, cfg)
-        np.testing.assert_array_equal(cp1.flat(), cp2.flat())
+        np.testing.assert_array_equal(cp1.theta, cp2.theta)
         assert rec1.deterministic_payload() == rec2.deterministic_payload()
 
     def test_early_stop(self, blob_pair):
@@ -197,16 +207,41 @@ class TestSadPointAndEscape:
         cfg = blob_config(epochs=200)
         sad_cp, _ = construct_sad_point(train_ds, test_ds, cfg)
         esc_cp, esc_rec = escape_run(sad_cp, train_ds, test_ds, blob_config(epochs=0))
-        np.testing.assert_array_equal(esc_cp.flat(), sad_cp.flat())
+        np.testing.assert_array_equal(esc_cp.theta, sad_cp.theta)
         assert esc_cp.tag == "escaped"
         assert esc_rec.rows == []
+
+    def test_sad_run_directory_has_one_config(self, blob_pair, tmp_path):
+        # with the default stop, init.ckpt holds the config the run trained with
+        train_ds, test_ds = blob_pair
+        _, rec = construct_sad_point(train_ds, test_ds, blob_config(epochs=3), out_dir=tmp_path)
+        run_dir = tmp_path / rec.run_id
+        header = json.loads((run_dir / "metrics.jsonl").read_text().splitlines()[0])
+        init_config = load_checkpoint(run_dir / "init.ckpt").config
+        assert init_config == load_checkpoint(run_dir / "sad.ckpt").config == header["config"]
+        assert init_config["stop_at_train_acc"] == 0.995
+
+    def test_every_final_checkpoint_flags_saturation(self, blob_pair, tmp_path):
+        train_ds, test_ds = blob_pair
+        cfg = blob_config(epochs=2)
+        runs = [train(new_model(cfg, train_ds), train_ds, train_ds, test_ds, cfg, out_dir=tmp_path),
+                construct_sad_point(train_ds, test_ds, cfg, out_dir=tmp_path)]
+        runs += [escape_run(runs[1][0], train_ds, test_ds, blob_config(epochs=n), out_dir=tmp_path)
+                 for n in (0, 2)]
+        for cp, rec in runs:
+            last = asdict(rec.rows[-1]) if rec.rows else rec.init_metrics
+            expected = last["train_acc"] >= 0.98 and last["test_acc"] <= 2 / train_ds.class_count
+            assert cp.flags["saturated"] is expected
+            saved = load_checkpoint(tmp_path / rec.run_id / f"{cp.tag}.ckpt")
+            assert saved.flags["saturated"] is expected
+        assert [cp.tag for cp, _ in runs] == ["clean", "sad", "escaped", "escaped"]
 
     def test_escape_measures_distance_from_sad_point(self, blob_pair):
         train_ds, test_ds = blob_pair
         cfg = blob_config(epochs=200)
         sad_cp, _ = construct_sad_point(train_ds, test_ds, cfg)
         esc_cp, esc_rec = escape_run(sad_cp, train_ds, test_ds, blob_config(epochs=2))
-        moved = float(np.linalg.norm(esc_cp.flat() - sad_cp.flat()))
+        moved = float(np.linalg.norm(esc_cp.theta - sad_cp.theta))
         assert esc_rec.rows[-1].dist_from_init == pytest.approx(moved, rel=1e-9)
 
     def test_escape_architecture_mismatch(self, blob_pair):
@@ -255,7 +290,7 @@ class TestSadPointAndEscape:
         for rec in first:
             assert len(rec.rows) == 2
             values = list(rec.init_metrics.values())
-            values += [v for row in rec.rows for v in row.to_dict().values()]
+            values += [v for row in rec.rows for v in astuple(row)]
             assert all(math.isfinite(v) for v in values)
         for a, b in zip(first, second):
             assert a.deterministic_payload() == b.deterministic_payload()
@@ -299,7 +334,7 @@ class TestDistanceReport:
         final_cp, _ = train(model, train_ds, train_ds, test_ds, cfg)
         report = distance_report([(init_cp, final_cp)])
         entry = report.entries[0]
-        assert entry["hist_counts"].sum() == final_cp.flat().size
+        assert entry["hist_counts"].sum() == final_cp.theta.size
         assert len(entry["hist_counts"]) == 64
 
     def test_cohort_stats_and_write(self, blob_pair, tmp_path):
@@ -398,8 +433,27 @@ class TestCheckpointIO:
         w_init = model.theta.copy()
         _, rec = train(model, train_ds, train_ds, test_ds, cfg, out_dir=tmp_path)
         loaded = load_checkpoint(tmp_path / rec.run_id / "init.ckpt")
-        np.testing.assert_array_equal(loaded.flat(), w_init)
+        np.testing.assert_array_equal(loaded.theta, w_init)
         np.testing.assert_array_equal(new_model(cfg, train_ds).theta, w_init)
+
+    @pytest.mark.parametrize("module,attr", [(experiment.struct, "pack"),
+                                             (experiment.os, "replace")],
+                             ids=["pack", "replace"])
+    def test_failed_write_keeps_old_checkpoint(self, blob_pair, tmp_path, monkeypatch,
+                                               module, attr):
+        train_ds, _ = blob_pair
+        old = checkpoint_of(new_model(blob_config(), train_ds), blob_config(), "clean")
+        path = save_checkpoint(old, tmp_path / "model.ckpt")
+        new = checkpoint_of(new_model(blob_config(seed=8), train_ds), blob_config(seed=8), "clean")
+
+        def fail(*args):
+            raise OSError("write failed")
+        monkeypatch.setattr(module, attr, fail)
+        with pytest.raises(OSError, match="write failed"):
+            save_checkpoint(new, path)
+        monkeypatch.undo()
+        np.testing.assert_array_equal(load_checkpoint(path).theta, old.theta)
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_header_not_an_object(self, blob_pair, tmp_path):
         path = self._rewrite_header(blob_pair, tmp_path, lambda h: [h])
