@@ -169,9 +169,9 @@ def _load_datasets(opts: dict):
         train_ds, test_ds = load_cifar10(data_dir)
     rng = np.random.default_rng((opts["data_seed"], _SUBSET_STREAM))
     if n_train:
-        train_ds = subset(train_ds, n_train, rng, stratified=True)
+        train_ds = subset(train_ds, n_train, rng)
     if n_test:
-        test_ds = subset(test_ds, n_test, rng, stratified=True)
+        test_ds = subset(test_ds, n_test, rng)
     return train_ds, test_ds
 
 
@@ -191,12 +191,12 @@ def _progress_printer(enabled: bool):
 
 
 def _summarize(record, tag: str):
-    last = record.rows[-1] if record.rows else None
-    if last is None:
+    if record.rows:
+        last = record.rows[-1]
+        print(f"{tag}: epochs {last.epoch} train_acc {last.train_acc:.4f} "
+              f"test_acc {last.test_acc:.4f} dist_from_init {last.dist_from_init:.3f}")
+    else:
         print(f"{tag}: no epochs run")
-        return
-    print(f"{tag}: epochs {last.epoch} train_acc {last.train_acc:.4f} "
-          f"test_acc {last.test_acc:.4f} dist_from_init {last.dist_from_init:.3f}")
     if record.run_dir:
         print(f"run dir: {record.run_dir}")
 

@@ -53,21 +53,6 @@ class LabeledDataset:
         return self.images.shape[0]
 
 
-@dataclass
-class BatchPlan:
-    """Deterministic shuffled batching: one permutation per (seed, epoch)."""
-
-    batch_size: int
-    seed: int
-
-    def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValidationError(f"batch_size must be positive, got {self.batch_size}")
-
-    def permutation(self, n: int, epoch: int) -> np.ndarray:
-        return np.random.default_rng((self.seed, epoch)).permutation(n)
-
-
 def _read_bytes(path) -> bytes:
     try:
         raw = Path(path).read_bytes()
@@ -167,38 +152,37 @@ def build_corrupted_train(train: LabeledDataset, corrupted_test: LabeledDataset)
     return LabeledDataset(images, labels, train.class_count, f"{train.name}+{t}x{corrupted_test.name}")
 
 
-def subset(ds: LabeledDataset, n: int, rng: np.random.Generator, stratified: bool = False) -> LabeledDataset:
-    """Sample n examples without replacement; stratified keeps classes balanced."""
+def subset(ds: LabeledDataset, n: int, rng: np.random.Generator) -> LabeledDataset:
+    """Sample n examples without replacement, balanced across the k classes."""
     if n < 1 or n > len(ds):
         raise ValidationError(f"subset size {n} outside [1, {len(ds)}]")
-    if not stratified:
-        pick = rng.choice(len(ds), size=n, replace=False)
-    else:
-        k = ds.class_count
-        if n < k:
-            raise ValidationError(f"stratified subset needs n >= {k} classes, got {n}")
-        base, extra = divmod(n, k)
-        # classes granted one extra sample are chosen by the rng, keeping it deterministic
-        bonus = set(rng.permutation(k)[:extra].tolist())
-        picks = []
-        for c in range(k):
-            idx = np.flatnonzero(ds.labels == c)
-            want = base + (1 if c in bonus else 0)
-            if want > len(idx):
-                raise ValidationError(f"class {c} has only {len(idx)} examples, need {want}")
-            picks.append(rng.choice(idx, size=want, replace=False))
-        pick = np.concatenate(picks)
-        pick = pick[rng.permutation(len(pick))]
+    k = ds.class_count
+    if n < k:
+        raise ValidationError(f"stratified subset needs n >= {k} classes, got {n}")
+    base, extra = divmod(n, k)
+    # classes granted one extra sample are chosen by the rng, keeping it deterministic
+    bonus = set(rng.permutation(k)[:extra].tolist())
+    picks = []
+    for c in range(k):
+        idx = np.flatnonzero(ds.labels == c)
+        want = base + (1 if c in bonus else 0)
+        if want > len(idx):
+            raise ValidationError(f"class {c} has only {len(idx)} examples, need {want}")
+        picks.append(rng.choice(idx, size=want, replace=False))
+    pick = np.concatenate(picks)
+    pick = pick[rng.permutation(len(pick))]
     return LabeledDataset(ds.images[pick], ds.labels[pick], ds.class_count, f"{ds.name}-sub{n}")
 
 
-def batches(ds: LabeledDataset, plan: BatchPlan, epoch: int):
+def batches(ds: LabeledDataset, batch_size: int, seed: int, epoch: int):
     """Yield (images, labels) batches covering the dataset exactly once.
 
-    Order is the plan's (seed, epoch) permutation; the final short batch
-    is included.
+    Order is one permutation per (seed, epoch); the final short batch is
+    included.
     """
-    perm = plan.permutation(len(ds), epoch)
-    for start in range(0, len(ds), plan.batch_size):
-        pick = perm[start:start + plan.batch_size]
+    if batch_size < 1:
+        raise ValidationError(f"batch_size must be positive, got {batch_size}")
+    perm = np.random.default_rng((seed, epoch)).permutation(len(ds))
+    for start in range(0, len(ds), batch_size):
+        pick = perm[start:start + batch_size]
         yield ds.images[pick], ds.labels[pick]

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import nn, optim
-from .data import BatchPlan, LabeledDataset, batches, build_corrupted_train, corrupt_labels
+from .data import LabeledDataset, batches, build_corrupted_train, corrupt_labels
 from .errors import (CheckpointError, ConsistencyError, DivergenceError,
                      FormatError, ValidationError)
 from .tensor import norm2
@@ -40,6 +40,9 @@ CHECKPOINT_MAGIC = b"SADNETv1\n"
 _INIT_STREAM = 101
 _CORRUPT_STREAM = 202
 _BATCH_STREAM = 303
+
+# examples per forward pass when evaluating or summing gradients over a whole set
+EVAL_BATCH = 512
 
 
 def init_rng(seed: int) -> np.random.Generator:
@@ -116,8 +119,6 @@ class RunRecord:
     init_hash: str
     init_metrics: dict
     rows: list[EpochRow] = field(default_factory=list)
-    stopped_early: bool = False
-    train_set_final_acc: float | None = None
     run_dir: str | None = None
 
     def header(self) -> dict:
@@ -207,7 +208,7 @@ def new_model(cfg: TrainConfig, ds: LabeledDataset) -> nn.Model:
     return model
 
 
-def evaluate(model: nn.Model, ds: LabeledDataset, batch_size: int = 512) -> tuple[float, float]:
+def evaluate(model: nn.Model, ds: LabeledDataset) -> tuple[float, float]:
     """Mean cross-entropy and argmax accuracy over the full dataset.
 
     No gradient side effects; argmax ties resolve to the lowest class.
@@ -217,9 +218,9 @@ def evaluate(model: nn.Model, ds: LabeledDataset, batch_size: int = 512) -> tupl
         raise ValidationError("cannot evaluate on an empty dataset")
     loss_sum = 0.0
     correct = 0
-    for start in range(0, n, batch_size):
-        xb = ds.images[start:start + batch_size]
-        yb = ds.labels[start:start + batch_size]
+    for start in range(0, n, EVAL_BATCH):
+        xb = ds.images[start:start + EVAL_BATCH]
+        yb = ds.labels[start:start + EVAL_BATCH]
         logits = model.forward(xb, cache=False)
         loss = nn.cross_entropy(logits, yb)
         loss_sum += loss.mean_loss * len(yb)
@@ -246,7 +247,7 @@ def train(model: nn.Model, train_ds: LabeledDataset, eval_train: LabeledDataset,
             raise ConsistencyError(
                 f"dataset {ds.name!r} has {ds.class_count} classes, model expects {model.class_count}")
 
-    state = optim.make_optimizer(cfg.optimizer, cfg.lr)
+    state = optim.OptimizerState(cfg.optimizer, cfg.lr)
     init_cp = checkpoint_of(model, cfg, "init")
     config = asdict(cfg)
     tr_loss, tr_acc = evaluate(model, eval_train)
@@ -259,13 +260,13 @@ def train(model: nn.Model, train_ds: LabeledDataset, eval_train: LabeledDataset,
                       "weight_norm": norm2(init_cp.theta)},
     )
 
-    plan = BatchPlan(cfg.batch_size, batch_seed(cfg.seed))
+    shuffle_seed = batch_seed(cfg.seed)
+    target = cfg.stop_at_train_acc
     start_time = time.perf_counter()
-    train_set_acc = None
     for epoch in range(1, cfg.epochs + 1):
         seen = 0
         hits = 0
-        for xb, yb in batches(train_ds, plan, epoch):
+        for xb, yb in batches(train_ds, cfg.batch_size, shuffle_seed, epoch):
             logits = model.forward(xb)
             loss = nn.cross_entropy(logits, yb)
             if not np.isfinite(loss.mean_loss):
@@ -287,21 +288,14 @@ def train(model: nn.Model, train_ds: LabeledDataset, eval_train: LabeledDataset,
                                     time.perf_counter() - start_time))
         if on_epoch is not None:
             on_epoch(record.rows[-1])
-        if cfg.stop_at_train_acc is not None:
-            # full evaluation is only worth it once the online epoch accuracy is close
+        if target is not None:
             if train_ds is eval_train:
-                train_set_acc = tr_acc
-            elif hits / seen >= cfg.stop_at_train_acc - 0.01:
-                train_set_acc = evaluate(model, train_ds)[1]
+                reached = tr_acc >= target
             else:
-                train_set_acc = None
-            if train_set_acc is not None and train_set_acc >= cfg.stop_at_train_acc:
-                record.stopped_early = True
+                # full evaluation is only worth it once the online epoch accuracy is close
+                reached = hits / seen >= target - 0.01 and evaluate(model, train_ds)[1] >= target
+            if reached:
                 break
-
-    if train_set_acc is None:
-        train_set_acc = tr_acc if train_ds is eval_train else evaluate(model, train_ds)[1]
-    record.train_set_final_acc = train_set_acc
 
     saturated = bool(tr_acc >= 0.98 and te_acc <= 2.0 / model.class_count)
     cp = checkpoint_of(model, cfg, tag, flags={"saturated": saturated})
@@ -342,17 +336,16 @@ def escape_run(sad: Checkpoint, train_ds: LabeledDataset, test_ds: LabeledDatase
                  out_dir, tag="escaped", on_epoch=on_epoch)
 
 
-def clean_gradient_norm(checkpoint: Checkpoint, clean_train: LabeledDataset,
-                        batch_size: int = 512) -> float:
+def clean_gradient_norm(checkpoint: Checkpoint, clean_train: LabeledDataset) -> float:
     """Norm of the full-batch cross-entropy gradient on the clean train set."""
     model = checkpoint.to_model()
     n = len(clean_train)
     if n == 0:
         raise ValidationError("cannot take gradients over an empty dataset")
     total = np.zeros_like(model.theta)
-    for start in range(0, n, batch_size):
-        xb = clean_train.images[start:start + batch_size]
-        yb = clean_train.labels[start:start + batch_size]
+    for start in range(0, n, EVAL_BATCH):
+        xb = clean_train.images[start:start + EVAL_BATCH]
+        yb = clean_train.labels[start:start + EVAL_BATCH]
         logits = model.forward(xb)
         loss = nn.cross_entropy(logits, yb)
         model.backward(loss.logit_gradient)

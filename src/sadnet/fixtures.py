@@ -3,7 +3,7 @@
 Everything here is deterministic in its seed, so the whole test suite
 runs without downloading anything. The synthetic image task is shaped
 like the MNIST family (10 classes, 28x28, single channel): smooth class
-prototypes under amplitude jitter and per-pixel noise. The default
+prototypes under amplitude jitter and per-pixel noise. The fixed
 noise level is a deliberate balance: high enough that a 512-unit MLP
 can also memorize deliberately mislabeled copies of the test images
 (per-sample noise makes every image individually distinguishable), low
@@ -20,6 +20,11 @@ from pathlib import Path
 import numpy as np
 
 from .data import LabeledDataset
+
+SYNTH_CLASSES = 10
+SYNTH_HW = 28
+SYNTH_NOISE = 0.25
+SYNTH_OFFSET = 0.25
 
 MNIST_NAMES = {
     "train_images": "train-images-idx3-ubyte",
@@ -44,27 +49,30 @@ def _class_prototypes(rng: np.random.Generator, k: int, hw: int) -> np.ndarray:
     return protos
 
 
-def synth_images(n_train: int, n_test: int, *, k: int = 10, hw: int = 28,
-                 data_seed: int = 0, noise: float = 0.25, max_shift: int = 0,
-                 offset: float = 0.25) -> tuple[LabeledDataset, LabeledDataset]:
+def synth_images(n_train: int, n_test: int, *,
+                 data_seed: int = 0) -> tuple[LabeledDataset, LabeledDataset]:
     """Deterministic 10-class image task at MNIST-family geometry.
 
-    `offset` darkens the background before clipping, giving the sparse
-    pixel statistics typical of handwritten-digit data.
+    Each image is its class prototype scaled by a U[0.6, 1] amplitude, plus
+    N(0, SYNTH_NOISE) pixel noise, darkened by SYNTH_OFFSET and clipped to
+    [0, 1]; the offset gives the sparse pixel statistics typical of
+    handwritten-digit data.
     """
     rng = np.random.default_rng((data_seed, 404))
-    protos = _class_prototypes(rng, k, hw)
+    protos = _class_prototypes(rng, SYNTH_CLASSES, SYNTH_HW)
 
     def draw(n, tag):
-        labels = rng.integers(0, k, size=n)
-        images = np.empty((n, 1, hw, hw))
-        shifts = rng.integers(-max_shift, max_shift + 1, size=(n, 2))
+        labels = rng.integers(0, SYNTH_CLASSES, size=n)
+        # built in place: the output and the noise are the only full-size arrays,
+        # and the output is allocated first so that freeing the noise leaves no hole
+        images = protos[labels]
         amps = rng.uniform(0.6, 1.0, size=n)
-        pixel_noise = rng.normal(0.0, noise, size=(n, hw, hw))
-        for i in range(n):
-            img = np.roll(protos[labels[i]], tuple(shifts[i]), axis=(0, 1))
-            images[i, 0] = np.clip(amps[i] * img + pixel_noise[i] - offset, 0.0, 1.0)
-        return LabeledDataset(images, labels, k, f"synth-{tag}")
+        noise = rng.normal(0.0, SYNTH_NOISE, size=(n, SYNTH_HW, SYNTH_HW))
+        images *= amps[:, None, None]
+        images += noise
+        images -= SYNTH_OFFSET
+        np.clip(images, 0.0, 1.0, out=images)
+        return LabeledDataset(images[:, None], labels, SYNTH_CLASSES, f"synth-{tag}")
 
     return draw(n_train, "train"), draw(n_test, "test")
 

@@ -12,9 +12,11 @@ import numpy as np
 
 from . import nn
 
-H_DEFAULT = 1e-5
+H = 1e-5
 REL_TOLERANCE = 1e-6
 ABS_FLOOR = 1e-8
+BATCH = 4
+L2_EVERY = 5  # every fifth model also checks the L2 penalty's gradient
 
 
 def _batch_loss(model: nn.Model, images, labels, l2: float) -> float:
@@ -30,25 +32,23 @@ def analytic_gradients(model: nn.Model, images, labels, l2: float = 0.0) -> np.n
     return model.grad.copy()
 
 
-def numerical_gradients(model: nn.Model, images, labels, l2: float = 0.0,
-                        h: float = H_DEFAULT) -> np.ndarray:
+def numerical_gradients(model: nn.Model, images, labels, l2: float = 0.0) -> np.ndarray:
     """Central differences, one coordinate of model.theta at a time."""
     theta = model.theta
     grad = np.zeros_like(theta)
     for i in range(theta.size):
         orig = theta[i]
-        theta[i] = orig + h
+        theta[i] = orig + H
         up = _batch_loss(model, images, labels, l2)
-        theta[i] = orig - h
+        theta[i] = orig - H
         down = _batch_loss(model, images, labels, l2)
         theta[i] = orig
-        grad[i] = (up - down) / (2.0 * h)
+        grad[i] = (up - down) / (2.0 * H)
     return grad
 
 
-def max_relative_error(analytic: np.ndarray, numeric: np.ndarray,
-                       floor: float = ABS_FLOOR) -> float:
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), floor)
+def max_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), ABS_FLOOR)
     return float((np.abs(analytic - numeric) / denom).max(initial=0.0))
 
 
@@ -76,17 +76,16 @@ def random_small_model(rng: np.random.Generator) -> nn.Model:
     return model
 
 
-def gradcheck_suite(seed: int, n_models: int = 20, batch: int = 4,
-                    l2_every: int = 5) -> tuple[float, list[dict]]:
+def gradcheck_suite(seed: int, n_models: int = 20) -> tuple[float, list[dict]]:
     """Run the finite-difference suite; returns (max rel error, per-model detail)."""
     rng = np.random.default_rng((seed, 909))
     details = []
     worst = 0.0
     for index in range(n_models):
         model = random_small_model(rng)
-        images = rng.normal(0.0, 1.0, size=(batch, *model.input_shape))
-        labels = rng.integers(0, model.class_count, size=batch)
-        l2 = 0.01 if index % l2_every == l2_every - 1 else 0.0
+        images = rng.normal(0.0, 1.0, size=(BATCH, *model.input_shape))
+        labels = rng.integers(0, model.class_count, size=BATCH)
+        l2 = 0.01 if index % L2_EVERY == L2_EVERY - 1 else 0.0
         err = max_relative_error(
             analytic_gradients(model, images, labels, l2),
             numerical_gradients(model, images, labels, l2))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ShapeError, StateError, ValidationError
+from .errors import CheckpointError, ShapeError, StateError, ValidationError
 
 
 class Layer:
@@ -150,8 +150,8 @@ class Model:
         self.arch = arch
         self.grads_ready = False
         self.shapes = [s for layer in layers for s in layer.param_shapes]
-        self.theta = T.zeros(sum(math.prod(s) for s in self.shapes))
-        self.grad = T.zeros(self.theta.size)
+        self.theta = np.zeros(sum(math.prod(s) for s in self.shapes))
+        self.grad = np.zeros(self.theta.size)
         params = iter(split(self.theta, self.shapes))
         grads = iter(split(self.grad, self.shapes))
         for layer in layers:
@@ -289,11 +289,25 @@ def build_cnn(input_channels: int, input_hw: int, k: int) -> Model:
     return Model(layers, (input_channels, input_hw, input_hw), k, arch)
 
 
+_BUILDERS = {
+    "mlp": (build_mlp, ("input_dim", "hidden", "class_count")),
+    "cnn": (build_cnn, ("input_channels", "input_hw", "class_count")),
+}
+
+
 def build_from_descriptor(arch: dict) -> Model:
-    """Rebuild a model from its checkpoint architecture descriptor."""
+    """Rebuild a model from its checkpoint architecture descriptor.
+
+    Every size the builder reads must be a positive integer; anything else
+    is a CheckpointError, since descriptors come from checkpoint headers.
+    """
     kind = arch.get("kind")
-    if kind == "mlp":
-        return build_mlp(arch["input_dim"], arch["hidden"], arch["class_count"])
-    if kind == "cnn":
-        return build_cnn(arch["input_channels"], arch["input_hw"], arch["class_count"])
-    raise ValidationError(f"unknown architecture kind: {kind!r}")
+    if not isinstance(kind, str) or kind not in _BUILDERS:
+        raise ValidationError(f"unknown architecture kind: {kind!r}")
+    builder, keys = _BUILDERS[kind]
+    sizes = [arch.get(key) for key in keys]
+    for key, size in zip(keys, sizes):
+        if type(size) is not int or size < 1:
+            raise CheckpointError(
+                f"{kind} architecture {key!r} must be a positive integer, got {size!r}")
+    return builder(*sizes)

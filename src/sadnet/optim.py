@@ -10,6 +10,12 @@ from .errors import StateError, ValidationError
 from .nn import Model
 
 
+# Adam's moment decay rates and denominator floor (Kingma & Ba, arXiv:1412.6980)
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
+
 @dataclass
 class OptimizerState:
     """Moment vectors, scratch vectors and step counter.
@@ -23,13 +29,10 @@ class OptimizerState:
 
     kind: str
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    m: np.ndarray | None = None
-    v: np.ndarray | None = None
-    t: int = 0
-    last_max_update: float = field(default=0.0, repr=False)
+    m: np.ndarray | None = field(init=False, default=None)
+    v: np.ndarray | None = field(init=False, default=None)
+    t: int = field(init=False, default=0)
+    last_max_update: float = field(init=False, default=0.0, repr=False)
     scratch: tuple[np.ndarray, np.ndarray] | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
@@ -37,12 +40,6 @@ class OptimizerState:
             raise ValidationError(f"optimizer kind must be 'sgd' or 'adam', got {self.kind!r}")
         if self.lr <= 0:
             raise ValidationError(f"learning rate must be positive, got {self.lr}")
-        if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
-            raise ValidationError("beta1/beta2 must lie in (0, 1)")
-
-
-def make_optimizer(kind: str, lr: float = 0.001, **kwargs) -> OptimizerState:
-    return OptimizerState(kind=kind, lr=lr, **kwargs)
 
 
 def _require_grads(model: Model):
@@ -70,16 +67,15 @@ def adam_step(model: Model, state: OptimizerState) -> None:
         state.scratch = (np.empty_like(g), np.empty_like(g))
     m, v, (update, denom) = state.m, state.v, state.scratch
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
-    m *= b1
-    m += np.multiply(g, 1.0 - b1, out=update)
-    v *= b2
-    np.multiply(g, 1.0 - b2, out=update)
+    m *= BETA1
+    m += np.multiply(g, 1.0 - BETA1, out=update)
+    v *= BETA2
+    np.multiply(g, 1.0 - BETA2, out=update)
     update *= g
     v += update
-    np.sqrt(np.divide(v, 1.0 - b2 ** state.t, out=denom), out=denom)
-    denom += state.eps
-    np.divide(m, 1.0 - b1 ** state.t, out=update)
+    np.sqrt(np.divide(v, 1.0 - BETA2 ** state.t, out=denom), out=denom)
+    denom += EPS
+    np.divide(m, 1.0 - BETA1 ** state.t, out=update)
     update *= state.lr
     update /= denom
     model.theta -= update

@@ -18,15 +18,6 @@ from .errors import ShapeError
 Tensor = np.ndarray
 
 
-def tensor(data) -> Tensor:
-    """Coerce to a C-contiguous float64 array."""
-    return np.ascontiguousarray(data, dtype=np.float64)
-
-
-def zeros(shape) -> Tensor:
-    return np.zeros(shape, dtype=np.float64)
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product of a (m, k) and b (k, n)."""
     a = np.asarray(a)

@@ -78,8 +78,8 @@ def datasets():
         rng = np.random.default_rng((DATA_SEED, 808))
         full_train = load_idx(*pick("train_images", "train_labels"), class_count=10)
         full_test = load_idx(*pick("test_images", "test_labels"), class_count=10)
-        train_ds = subset(full_train, TRAIN_N, rng, stratified=True)
-        test_ds = subset(full_test, TEST_N, rng, stratified=True)
+        train_ds = subset(full_train, TRAIN_N, rng)
+        test_ds = subset(full_test, TEST_N, rng)
         label = "mnist"
     else:
         train_ds, test_ds = synth_images(TRAIN_N, TEST_N, data_seed=DATA_SEED)
@@ -130,7 +130,7 @@ class TestGradientAndInit:
     def test_criterion_2_init_loss(self, datasets):
         train_ds, _, _ = datasets
         rng = np.random.default_rng((DATA_SEED, 909))
-        balanced = subset(train_ds, 100, rng, stratified=True)
+        balanced = subset(train_ds, 100, rng)
         x = balanced.images.reshape(100, -1)
         deviations = []
         for seed in range(10):

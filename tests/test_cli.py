@@ -2,6 +2,7 @@
 
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +25,17 @@ def find_run_dir(out_dir):
     dirs = [p for p in out_dir.iterdir() if p.is_dir()]
     assert len(dirs) >= 1
     return dirs[0]
+
+
+def rewrite_header(ckpt, mutate):
+    """Replace a checkpoint's JSON header with mutate(header); the payload,
+    and so its checksum, stays intact."""
+    raw = ckpt.read_bytes()
+    start = len(CHECKPOINT_MAGIC) + 8
+    (length,) = struct.unpack(">Q", raw[start - 8:start])
+    header = json.dumps(mutate(json.loads(raw[start:start + length]))).encode()
+    ckpt.write_bytes(CHECKPOINT_MAGIC + struct.pack(">Q", len(header)) + header
+                     + raw[start + length:])
 
 
 class TestValidation:
@@ -245,12 +257,7 @@ class TestPipelineCommands:
         out = tmp_path / "runs"
         assert run(tiny_args("train", out, epochs=1)) == 0
         ckpt = find_run_dir(out) / "clean.ckpt"
-        raw = ckpt.read_bytes()
-        (length,) = struct.unpack(">Q", raw[len(CHECKPOINT_MAGIC):len(CHECKPOINT_MAGIC) + 8])
-        start = len(CHECKPOINT_MAGIC) + 8
-        header = json.dumps([json.loads(raw[start:start + length])]).encode()
-        ckpt.write_bytes(CHECKPOINT_MAGIC + struct.pack(">Q", len(header)) + header
-                         + raw[start + length:])
+        rewrite_header(ckpt, lambda header: [header])
         capsys.readouterr()
         code = run(tiny_args("escape", out, epochs=1, **{"from_checkpoint": ckpt}))
         assert code == 2
@@ -258,3 +265,34 @@ class TestPipelineCommands:
         code = run(["analyze", "--runs-dir", str(out), "--out-dir", str(tmp_path / "analysis")])
         assert code == 2
         assert "not an object" in capsys.readouterr().err
+
+    # the header checksum covers only the payload, so the builder must check arch itself
+    @pytest.mark.parametrize("key,value", [("input_dim", None), ("hidden", "8"), ("hidden", -1)],
+                             ids=["input_dim-missing", "hidden-string", "hidden-negative"])
+    def test_malformed_arch_exits_2(self, tmp_path, capsys, key, value):
+        out = tmp_path / "runs"
+        assert run(tiny_args("train", out, epochs=1)) == 0
+        ckpt = find_run_dir(out) / "clean.ckpt"
+
+        def mutate(header):
+            if value is None:
+                del header["arch"][key]
+            else:
+                header["arch"][key] = value
+            return header
+        rewrite_header(ckpt, mutate)
+        capsys.readouterr()
+        code = run(tiny_args("escape", out, epochs=1, **{"from_checkpoint": ckpt}))
+        assert code == 2
+        assert f"{key!r} must be a positive integer" in capsys.readouterr().err
+
+    def test_zero_epoch_escape_prints_run_dir(self, tmp_path, capsys):
+        out = tmp_path / "runs"
+        assert run(tiny_args("train", out, epochs=1)) == 0
+        ckpt = find_run_dir(out) / "clean.ckpt"
+        capsys.readouterr()
+        assert run(tiny_args("escape", out, epochs=0, **{"from_checkpoint": ckpt})) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "escaped: no epochs run"
+        assert lines[1].startswith("run dir: ")
+        assert (Path(lines[1][len("run dir: "):]) / "escaped.ckpt").exists()

@@ -1,15 +1,16 @@
-"""Loader, corruption, concatenation, subset, and batching tests."""
+"""Loader, corruption, concatenation, subset, batching and synthetic-data tests."""
 
 import gzip
+import hashlib
 
 import numpy as np
 import pytest
 
-from sadnet.data import (BatchPlan, LabeledDataset, batches, build_corrupted_train,
+from sadnet.data import (LabeledDataset, batches, build_corrupted_train,
                          corrupt_labels, load_cifar10, load_idx, subset)
 from sadnet.errors import ConsistencyError, FormatError, ValidationError
-from sadnet.fixtures import (synth_blobs, write_cifar10_fixture, write_idx_images,
-                             write_idx_labels, write_mnist_fixture)
+from sadnet.fixtures import (synth_blobs, synth_images, write_cifar10_fixture,
+                             write_idx_images, write_idx_labels, write_mnist_fixture)
 
 
 @pytest.fixture
@@ -243,13 +244,13 @@ class TestSubset:
 
     def test_stratified_balance(self):
         ds = tiny_dataset(1000)
-        out = subset(ds, 100, np.random.default_rng(1), stratified=True)
+        out = subset(ds, 100, np.random.default_rng(1))
         counts = np.bincount(out.labels, minlength=10)
         np.testing.assert_array_equal(counts, 10)
 
     def test_stratified_remainder(self):
         ds = tiny_dataset(1000)
-        out = subset(ds, 103, np.random.default_rng(2), stratified=True)
+        out = subset(ds, 103, np.random.default_rng(2))
         counts = np.bincount(out.labels, minlength=10)
         assert counts.sum() == 103
         assert set(counts.tolist()) <= {10, 11}
@@ -265,29 +266,53 @@ class TestSubset:
         with pytest.raises(ValidationError):
             subset(ds, 21, np.random.default_rng(0))
         with pytest.raises(ValidationError):
-            subset(ds, 5, np.random.default_rng(0), stratified=True)
+            subset(ds, 5, np.random.default_rng(0))
 
 
 class TestBatches:
     def test_remainder_batch(self):
         ds = tiny_dataset(10)
-        sizes = [len(y) for _, y in batches(ds, BatchPlan(3, seed=0), epoch=1)]
+        sizes = [len(y) for _, y in batches(ds, 3, seed=0, epoch=1)]
         assert sizes == [3, 3, 3, 1]
 
     def test_partition_property(self):
         ds = tiny_dataset(23)
-        got = np.concatenate([y for _, y in batches(ds, BatchPlan(5, seed=1), epoch=2)])
+        got = np.concatenate([y for _, y in batches(ds, 5, seed=1, epoch=2)])
         assert sorted(got.tolist()) == sorted(ds.labels.tolist())
 
     def test_same_seed_epoch_identical(self):
         ds = tiny_dataset(17)
-        a = [y for _, y in batches(ds, BatchPlan(4, seed=2), epoch=3)]
-        b = [y for _, y in batches(ds, BatchPlan(4, seed=2), epoch=3)]
+        a = [y for _, y in batches(ds, 4, seed=2, epoch=3)]
+        b = [y for _, y in batches(ds, 4, seed=2, epoch=3)]
         for ya, yb in zip(a, b):
             np.testing.assert_array_equal(ya, yb)
 
     def test_epochs_differ(self):
         ds = tiny_dataset(64)
-        a = np.concatenate([y for _, y in batches(ds, BatchPlan(64, seed=3), epoch=1)])
-        b = np.concatenate([y for _, y in batches(ds, BatchPlan(64, seed=3), epoch=2)])
+        a = np.concatenate([y for _, y in batches(ds, 64, seed=3, epoch=1)])
+        b = np.concatenate([y for _, y in batches(ds, 64, seed=3, epoch=2)])
         assert not np.array_equal(a, b)
+
+    def test_batch_size_validated(self):
+        with pytest.raises(ValidationError, match="batch_size"):
+            next(batches(tiny_dataset(4), 0, seed=0, epoch=1))
+
+
+class TestSynthImages:
+    # sha256 of little-endian float64 images then int64 labels, per split; these
+    # are the acceptance and benchmark inputs, so they must never drift
+    DIGESTS = {
+        0: ("fb286369fcbf2b44a6bfe754e9c9b981f6b700c26a551a4ac0a06ba0aba5d7f5",
+            "25ede79f5166d9ce8e4b54806752a0e76c4745c4ca2d6de180e641744cfbd632"),
+        1: ("50d7a8544c6ffc31796e865f2d3fe37a45d92861aa31c2e959654a062d169334",
+            "21563aabf0ac29800f5e61db07c911f4e1148d436e95735c0460b364b9cdd0ab"),
+    }
+
+    @pytest.mark.parametrize("data_seed", sorted(DIGESTS))
+    def test_acceptance_data_pinned(self, data_seed):
+        digests = []
+        for ds in synth_images(4000, 1000, data_seed=data_seed):
+            h = hashlib.sha256(ds.images.astype("<f8").tobytes())
+            h.update(ds.labels.astype("<i8").tobytes())
+            digests.append(h.hexdigest())
+        assert tuple(digests) == self.DIGESTS[data_seed]

@@ -5,7 +5,7 @@ import pytest
 
 from sadnet import nn
 from sadnet.errors import StateError, ValidationError
-from sadnet.optim import OptimizerState, adam_step, make_optimizer, sgd_step, step
+from sadnet.optim import OptimizerState, adam_step, sgd_step, step
 
 
 def scalar_adam_oracle(grads, lr, beta1=0.9, beta2=0.999, eps=1e-8, w0=0.0):
@@ -38,30 +38,30 @@ class TestSgd:
         model.layers[0].w[...] = [[1.0, 2.0]]
         model.layers[0].grads[0][...] = [[0.5, -0.5]]
         model.grads_ready = True
-        sgd_step(model, make_optimizer("sgd", lr=0.1))
+        sgd_step(model, OptimizerState("sgd", 0.1))
         np.testing.assert_allclose(model.layers[0].w, [[0.95, 2.05]])
 
     def test_zero_gradient_noop(self):
         model = one_param_model(3.0)
         set_grads(model, 0.0)
-        sgd_step(model, make_optimizer("sgd", lr=0.1))
+        sgd_step(model, OptimizerState("sgd", 0.1))
         assert model.layers[0].w[0, 0] == 3.0
 
     def test_two_steps_equal_one_double_step(self):
         a = one_param_model(1.0)
         b = one_param_model(1.0)
-        state_a = make_optimizer("sgd", lr=0.1)
+        state_a = OptimizerState("sgd", 0.1)
         for _ in range(2):
             set_grads(a, 0.7)
             sgd_step(a, state_a)
         set_grads(b, 0.7)
-        sgd_step(b, make_optimizer("sgd", lr=0.2))
+        sgd_step(b, OptimizerState("sgd", 0.2))
         assert a.layers[0].w[0, 0] == pytest.approx(b.layers[0].w[0, 0], rel=1e-15)
 
     def test_requires_gradients(self):
         model = one_param_model(1.0)
         with pytest.raises(StateError):
-            sgd_step(model, make_optimizer("sgd", lr=0.1))
+            sgd_step(model, OptimizerState("sgd", 0.1))
 
 
 class TestAdam:
@@ -69,19 +69,19 @@ class TestAdam:
         for g in (2.0, -0.3, 1e-4):
             model = one_param_model(0.0)
             set_grads(model, g)
-            adam_step(model, make_optimizer("adam", lr=0.001))
+            adam_step(model, OptimizerState("adam", 0.001))
             want = 0.001 * abs(g) / (abs(g) + 1e-8)
             assert abs(model.layers[0].w[0, 0]) == pytest.approx(want, rel=1e-9)
 
     def test_zero_gradient_fresh_state_noop(self):
         model = one_param_model(5.0)
         set_grads(model, 0.0)
-        adam_step(model, make_optimizer("adam", lr=0.001))
+        adam_step(model, OptimizerState("adam", 0.001))
         assert model.layers[0].w[0, 0] == 5.0
 
     def test_three_steps_match_scalar_oracle(self):
         model = one_param_model(0.0)
-        state = make_optimizer("adam", lr=0.001)
+        state = OptimizerState("adam", 0.001)
         for _ in range(3):
             set_grads(model, 1.0)
             adam_step(model, state)
@@ -93,7 +93,7 @@ class TestAdam:
         rng = np.random.default_rng(20)
         grads = rng.normal(size=10)
         model = one_param_model(0.4)
-        state = make_optimizer("adam", lr=0.01)
+        state = OptimizerState("adam", 0.01)
         for g in grads:
             set_grads(model, g)
             adam_step(model, state)
@@ -106,7 +106,7 @@ class TestAdam:
         nn.init_xavier_uniform(model, np.random.default_rng(25))
         w0 = model.theta.copy()
         sequence = rng.normal(size=(10, w0.size))
-        state = make_optimizer("adam", lr=0.01)
+        state = OptimizerState("adam", 0.01)
         for g in sequence:
             model.grad[...] = g
             model.grads_ready = True
@@ -117,7 +117,7 @@ class TestAdam:
     def test_update_bound_weak_form(self):
         rng = np.random.default_rng(21)
         model = one_param_model(0.0)
-        state = make_optimizer("adam", lr=0.001)
+        state = OptimizerState("adam", 0.001)
         for _ in range(200):
             set_grads(model, rng.normal() * 10.0 ** rng.integers(-3, 3))
             adam_step(model, state)
@@ -126,7 +126,7 @@ class TestAdam:
     def test_deterministic(self):
         def run():
             model = one_param_model(0.1)
-            state = make_optimizer("adam", lr=0.005)
+            state = OptimizerState("adam", 0.005)
             rng = np.random.default_rng(22)
             for _ in range(20):
                 set_grads(model, rng.normal())
@@ -139,7 +139,7 @@ class TestAdam:
         nn.init_xavier_uniform(model, np.random.default_rng(23))
         x = np.random.default_rng(24).normal(size=(2, 4))
         y = np.array([0, 1])
-        state = make_optimizer("adam")
+        state = OptimizerState("adam", 0.001)
         for expected_t in (1, 2):
             loss = nn.cross_entropy(model.forward(x), y)
             model.backward(loss.logit_gradient)
@@ -153,5 +153,3 @@ class TestAdam:
             OptimizerState(kind="adagrad", lr=0.1)
         with pytest.raises(ValidationError):
             OptimizerState(kind="adam", lr=0.0)
-        with pytest.raises(ValidationError):
-            OptimizerState(kind="adam", lr=0.1, beta1=1.0)

@@ -55,22 +55,22 @@ def maxpool_oracle(x, window):
 
 class TestMatmul:
     def test_identity(self):
-        b = T.tensor([[3.0, 4.0], [5.0, 6.0]])
+        b = np.array([[3.0, 4.0], [5.0, 6.0]])
         np.testing.assert_array_equal(T.matmul(np.eye(2), b), b)
 
     def test_two_by_two(self):
         # frozen from matmul_oracle([[1,2],[3,4]], [[5,6],[7,8]])
-        out = T.matmul(T.tensor([[1, 2], [3, 4]]), T.tensor([[5, 6], [7, 8]]))
+        out = T.matmul(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[5.0, 6.0], [7.0, 8.0]]))
         np.testing.assert_array_equal(out, [[19.0, 22.0], [43.0, 50.0]])
 
     def test_zero_annihilation(self):
         rng = np.random.default_rng(0)
-        out = T.matmul(T.zeros((3, 4)), rng.normal(size=(4, 2)))
+        out = T.matmul(np.zeros((3, 4)), rng.normal(size=(4, 2)))
         np.testing.assert_array_equal(out, np.zeros((3, 2)))
 
     def test_shape_error_names_both_shapes(self):
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
-            T.matmul(T.zeros((2, 3)), T.zeros((2, 2)))
+            T.matmul(np.zeros((2, 3)), np.zeros((2, 2)))
 
     def test_matches_triple_loop_oracle(self):
         rng = np.random.default_rng(42)
@@ -116,12 +116,12 @@ class TestConv2d:
         rng = np.random.default_rng(1)
         x = rng.uniform(size=(1, 5, 5))
         kernels = np.ones((1, 1, 1, 1))
-        out = conv2d_one(x, kernels, T.zeros(1), pad=0)
+        out = conv2d_one(x, kernels, np.zeros(1), pad=0)
         np.testing.assert_allclose(out, x)
 
     def test_bias_only_on_zero_input(self):
-        bias = T.tensor([1.5, -2.0])
-        out = conv2d_one(T.zeros((1, 4, 4)), T.zeros((2, 1, 3, 3)), bias, pad=1)
+        bias = np.array([1.5, -2.0])
+        out = conv2d_one(np.zeros((1, 4, 4)), np.zeros((2, 1, 3, 3)), bias, pad=1)
         assert out.shape == (2, 4, 4)
         np.testing.assert_allclose(out[0], 1.5)
         np.testing.assert_allclose(out[1], -2.0)
@@ -158,14 +158,14 @@ class TestConv2d:
     def test_one_hot_kernel_selects_channel(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(3, 4, 4))
-        kernels = T.zeros((1, 3, 1, 1))
+        kernels = np.zeros((1, 3, 1, 1))
         kernels[0, 2, 0, 0] = 1.0
-        out = conv2d_one(x, kernels, T.zeros(1), pad=0)
+        out = conv2d_one(x, kernels, np.zeros(1), pad=0)
         np.testing.assert_array_equal(out[0], x[2])
 
     def test_non_positive_output_extent(self):
         with pytest.raises(ShapeError):
-            conv2d_one(T.zeros((1, 2, 2)), T.zeros((1, 1, 5, 5)), T.zeros(1), pad=0)
+            conv2d_one(np.zeros((1, 2, 2)), np.zeros((1, 1, 5, 5)), np.zeros(1), pad=0)
 
     def test_backward_routes_to_padded_taps(self):
         # finite-difference spot check on a single kernel tap
@@ -222,7 +222,7 @@ def argmax_oracle(x, window):
 
 class TestMaxPool:
     def test_single_window(self):
-        out, idx = maxpool_one(T.tensor([[[1, 2], [3, 4]]]))
+        out, idx = maxpool_one(np.array([[[1.0, 2.0], [3.0, 4.0]]]))
         np.testing.assert_array_equal(out, [[[4.0]]])
         assert idx[0, 0, 0] == 3  # row-major position (1, 1) inside the window
 
@@ -238,7 +238,7 @@ class TestMaxPool:
 
     def test_odd_extent_rejected(self):
         with pytest.raises(ShapeError):
-            maxpool_one(T.zeros((1, 3, 4)))
+            maxpool_one(np.zeros((1, 3, 4)))
 
     def test_output_members_of_windows(self):
         rng = np.random.default_rng(7)
@@ -283,16 +283,16 @@ class TestMaxPool:
 
 class TestReluSoftmaxNormAxpy:
     def test_relu_examples(self):
-        np.testing.assert_array_equal(T.relu(T.tensor([-1, 0, 2])), [0.0, 0.0, 2.0])
-        np.testing.assert_array_equal(T.relu(T.tensor([-3, -1])), [0.0, 0.0])
+        np.testing.assert_array_equal(T.relu(np.array([-1.0, 0.0, 2.0])), [0.0, 0.0, 2.0])
+        np.testing.assert_array_equal(T.relu(np.array([-3.0, -1.0])), [0.0, 0.0])
 
     def test_relu_backward_gate(self):
-        np.testing.assert_array_equal(T.relu_backward(T.tensor([5.0]), T.tensor([3.0])), [5.0])
-        np.testing.assert_array_equal(T.relu_backward(T.tensor([5.0]), T.tensor([-3.0])), [0.0])
-        np.testing.assert_array_equal(T.relu_backward(T.tensor([5.0]), T.tensor([0.0])), [0.0])
+        np.testing.assert_array_equal(T.relu_backward(np.array([5.0]), np.array([3.0])), [5.0])
+        np.testing.assert_array_equal(T.relu_backward(np.array([5.0]), np.array([-3.0])), [0.0])
+        np.testing.assert_array_equal(T.relu_backward(np.array([5.0]), np.array([0.0])), [0.0])
 
     def test_softmax_uniform(self):
-        np.testing.assert_allclose(T.softmax(T.zeros(10)), np.full(10, 0.1), atol=1e-15)
+        np.testing.assert_allclose(T.softmax(np.zeros(10)), np.full(10, 0.1), atol=1e-15)
 
     def test_softmax_shift_invariance(self):
         rng = np.random.default_rng(8)
@@ -301,7 +301,7 @@ class TestReluSoftmaxNormAxpy:
 
     def test_softmax_frozen_values(self):
         # frozen from the direct exponential-sum oracle on [1, 2, 3]
-        np.testing.assert_allclose(T.softmax(T.tensor([1.0, 2.0, 3.0])),
+        np.testing.assert_allclose(T.softmax(np.array([1.0, 2.0, 3.0])),
                                    [0.09003057, 0.24472847, 0.66524096], atol=1e-8)
 
     def test_softmax_is_probability_vector(self):
@@ -313,10 +313,10 @@ class TestReluSoftmaxNormAxpy:
             assert abs(p.sum() - 1.0) < 1e-12
 
     def test_softmax_large_logits_stable(self):
-        p = T.softmax(T.tensor([1000.0, 0.0]))
+        p = T.softmax(np.array([1000.0, 0.0]))
         assert np.isfinite(p).all()
         np.testing.assert_allclose(p, [1.0, 0.0], atol=1e-12)
 
     def test_norm2(self):
-        assert T.norm2(T.tensor([3.0, 4.0])) == pytest.approx(5.0)
-        assert T.norm2(T.zeros((4, 4))) == 0.0
+        assert T.norm2(np.array([3.0, 4.0])) == pytest.approx(5.0)
+        assert T.norm2(np.zeros((4, 4))) == 0.0
