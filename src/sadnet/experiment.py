@@ -41,9 +41,6 @@ _INIT_STREAM = 101
 _CORRUPT_STREAM = 202
 _BATCH_STREAM = 303
 
-# examples per forward pass when evaluating or summing gradients over a whole set
-EVAL_BATCH = 512
-
 
 def init_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng((seed, _INIT_STREAM))
@@ -169,10 +166,7 @@ class Checkpoint:
         if expect_kind is not None and self.arch.get("kind") != expect_kind:
             raise CheckpointError(
                 f"checkpoint holds a {self.arch.get('kind')!r} model, expected {expect_kind!r}")
-        model = nn.build_from_descriptor(self.arch)
-        if model.shapes != self.shapes:
-            raise CheckpointError(
-                f"parameter shapes {self.shapes} do not match architecture {model.shapes}")
+        model = nn.build_from_descriptor(self.arch, self.shapes)
         model.theta[...] = self.theta
         return model
 
@@ -209,23 +203,9 @@ def new_model(cfg: TrainConfig, ds: LabeledDataset) -> nn.Model:
 
 
 def evaluate(model: nn.Model, ds: LabeledDataset) -> tuple[float, float]:
-    """Mean cross-entropy and argmax accuracy over the full dataset.
-
-    No gradient side effects; argmax ties resolve to the lowest class.
-    """
-    n = len(ds)
-    if n == 0:
-        raise ValidationError("cannot evaluate on an empty dataset")
-    loss_sum = 0.0
-    correct = 0
-    for start in range(0, n, EVAL_BATCH):
-        xb = ds.images[start:start + EVAL_BATCH]
-        yb = ds.labels[start:start + EVAL_BATCH]
-        logits = model.forward(xb, cache=False)
-        loss = nn.cross_entropy(logits, yb)
-        loss_sum += loss.mean_loss * len(yb)
-        correct += int((logits.argmax(axis=1) == yb).sum())
-    return loss_sum / n, correct / n
+    """Mean cross-entropy and argmax accuracy over ds; leaves model.grad as it was."""
+    loss, hits = nn.full_pass(model, ds.images, ds.labels, grad=False)
+    return loss, hits / len(ds)
 
 
 def train(model: nn.Model, train_ds: LabeledDataset, eval_train: LabeledDataset,
@@ -240,7 +220,8 @@ def train(model: nn.Model, train_ds: LabeledDataset, eval_train: LabeledDataset,
     start weights. The returned checkpoint's 'saturated' flag records
     whether the last clean metrics meet accuracy >= 0.98 on eval_train and
     <= 2/k on eval_test. With out_dir, the run directory gets the metrics
-    and the init and final checkpoints.
+    and the init and final checkpoints. A step is one nn.full_pass, so a batch
+    above nn.PASS_BATCH examples steps on its mean gradient summed over slices.
     """
     for ds in (train_ds, eval_train, eval_test):
         if ds.class_count != model.class_count:
@@ -264,18 +245,13 @@ def train(model: nn.Model, train_ds: LabeledDataset, eval_train: LabeledDataset,
     target = cfg.stop_at_train_acc
     start_time = time.perf_counter()
     for epoch in range(1, cfg.epochs + 1):
-        seen = 0
         hits = 0
         for xb, yb in batches(train_ds, cfg.batch_size, shuffle_seed, epoch):
-            logits = model.forward(xb)
-            loss = nn.cross_entropy(logits, yb)
-            if not np.isfinite(loss.mean_loss):
+            loss, batch_hits = nn.full_pass(model, xb, yb, grad=True)
+            if not np.isfinite(loss):
                 raise DivergenceError(f"non-finite loss at epoch {epoch}", record)
-            hits += int((logits.argmax(axis=1) == yb).sum())
-            seen += len(yb)
-            model.backward(loss.logit_gradient)
-            if cfg.l2_lambda:
-                nn.add_l2_gradients(model, cfg.l2_lambda)
+            hits += batch_hits
+            nn.add_l2_gradients(model, cfg.l2_lambda)
             optim.step(model, state)
             if cfg.optimizer == "adam" and state.last_max_update > 10.0 * cfg.lr:
                 raise DivergenceError(
@@ -293,7 +269,7 @@ def train(model: nn.Model, train_ds: LabeledDataset, eval_train: LabeledDataset,
                 reached = tr_acc >= target
             else:
                 # full evaluation is only worth it once the online epoch accuracy is close
-                reached = hits / seen >= target - 0.01 and evaluate(model, train_ds)[1] >= target
+                reached = hits / len(train_ds) >= target - 0.01 and evaluate(model, train_ds)[1] >= target
             if reached:
                 break
 
@@ -339,18 +315,8 @@ def escape_run(sad: Checkpoint, train_ds: LabeledDataset, test_ds: LabeledDatase
 def clean_gradient_norm(checkpoint: Checkpoint, clean_train: LabeledDataset) -> float:
     """Norm of the full-batch cross-entropy gradient on the clean train set."""
     model = checkpoint.to_model()
-    n = len(clean_train)
-    if n == 0:
-        raise ValidationError("cannot take gradients over an empty dataset")
-    total = np.zeros_like(model.theta)
-    for start in range(0, n, EVAL_BATCH):
-        xb = clean_train.images[start:start + EVAL_BATCH]
-        yb = clean_train.labels[start:start + EVAL_BATCH]
-        logits = model.forward(xb)
-        loss = nn.cross_entropy(logits, yb)
-        model.backward(loss.logit_gradient)
-        total += model.grad * len(yb)
-    return norm2(total / n)
+    nn.full_pass(model, clean_train.images, clean_train.labels, grad=True)
+    return norm2(model.grad)
 
 
 @dataclass

@@ -19,29 +19,25 @@ BATCH = 4
 L2_EVERY = 5  # every fifth model also checks the L2 penalty's gradient
 
 
-def _batch_loss(model: nn.Model, images, labels, l2: float) -> float:
-    loss = nn.cross_entropy(model.forward(images, cache=False), labels)
-    return loss.mean_loss + nn.l2_penalty(model, l2)
-
-
 def analytic_gradients(model: nn.Model, images, labels, l2: float = 0.0) -> np.ndarray:
-    loss = nn.cross_entropy(model.forward(images), labels)
-    model.backward(loss.logit_gradient)
-    if l2:
-        nn.add_l2_gradients(model, l2)
+    nn.full_pass(model, images, labels, grad=True)
+    nn.add_l2_gradients(model, l2)
     return model.grad.copy()
 
 
 def numerical_gradients(model: nn.Model, images, labels, l2: float = 0.0) -> np.ndarray:
     """Central differences, one coordinate of model.theta at a time."""
+    def loss() -> float:
+        return nn.full_pass(model, images, labels, grad=False)[0] + nn.l2_penalty(model, l2)
+
     theta = model.theta
     grad = np.zeros_like(theta)
     for i in range(theta.size):
         orig = theta[i]
         theta[i] = orig + H
-        up = _batch_loss(model, images, labels, l2)
+        up = loss()
         theta[i] = orig - H
-        down = _batch_loss(model, images, labels, l2)
+        down = loss()
         theta[i] = orig
         grad[i] = (up - down) / (2.0 * H)
     return grad

@@ -216,6 +216,35 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> LossValue:
     return LossValue(mean_loss, grad)
 
 
+PASS_BATCH = 512  # examples per forward pass over a set
+
+
+def full_pass(model: Model, images: np.ndarray, labels: np.ndarray, *,
+              grad: bool) -> tuple[float, int]:
+    """Mean cross-entropy and argmax hit count (ties go to the lowest class)
+    over a set, in slices of PASS_BATCH examples. With grad, model.grad is
+    left holding the set's mean gradient: backward's own for one slice, else
+    each slice's gradient times its size, summed and divided by n."""
+    n = len(labels)
+    if n == 0:
+        raise ValidationError("cannot pass over an empty set")
+    loss_sum, hits = 0.0, 0
+    total = np.zeros_like(model.grad) if grad and n > PASS_BATCH else None
+    for start in range(0, n, PASS_BATCH):
+        yb = labels[start:start + PASS_BATCH]
+        logits = model.forward(images[start:start + PASS_BATCH], cache=grad)
+        loss = cross_entropy(logits, yb)
+        loss_sum += loss.mean_loss * len(yb)
+        hits += int((logits.argmax(axis=1) == yb).sum())
+        if grad:
+            model.backward(loss.logit_gradient)
+        if total is not None:
+            total += model.grad * len(yb)
+    if total is not None:
+        np.divide(total, n, out=model.grad)
+    return loss_sum / n, hits
+
+
 def l2_penalty(model: Model, lam: float) -> float:
     """lam * sum of squared weight entries (biases excluded)."""
     if lam < 0:
@@ -262,11 +291,28 @@ def init_xavier_uniform(model: Model, rng: np.random.Generator) -> None:
         layer.params[1][...] = 0.0
 
 
-def build_mlp(input_dim: int, hidden: int, k: int) -> Model:
-    """Fully connected net: dense(input->hidden), relu, dense(hidden->k)."""
+def _mlp(input_dim: int, hidden: int, k: int) -> tuple:
     layers = [Dense(input_dim, hidden), ReLU(), Dense(hidden, k)]
     arch = {"kind": "mlp", "input_dim": input_dim, "hidden": hidden, "class_count": k}
-    return Model(layers, (input_dim,), k, arch)
+    return layers, (input_dim,), k, arch
+
+
+def _cnn(input_channels: int, input_hw: int, k: int) -> tuple:
+    if input_hw % 4:
+        raise ShapeError(f"input_hw must be divisible by 4, got {input_hw}")
+    layers = [
+        Conv2d(input_channels, 16, 5, pad=2), ReLU(), MaxPool2d(2),
+        Conv2d(16, 32, 5, pad=2), ReLU(), MaxPool2d(2),
+        Conv2d(32, 64, 5, pad=2), ReLU(),
+        Flatten(), Dense(64 * (input_hw // 4) ** 2, 84), ReLU(), Dense(84, k),
+    ]
+    arch = {"kind": "cnn", "input_channels": input_channels, "input_hw": input_hw, "class_count": k}
+    return layers, (input_channels, input_hw, input_hw), k, arch
+
+
+def build_mlp(input_dim: int, hidden: int, k: int) -> Model:
+    """Fully connected net: dense(input->hidden), relu, dense(hidden->k)."""
+    return Model(*_mlp(input_dim, hidden, k))
 
 
 def build_cnn(input_channels: int, input_hw: int, k: int) -> Model:
@@ -275,32 +321,20 @@ def build_cnn(input_channels: int, input_hw: int, k: int) -> Model:
 
     input_hw must be divisible by 4 so both pools land on even extents.
     """
-    if input_hw % 4:
-        raise ShapeError(f"input_hw must be divisible by 4, got {input_hw}")
-    final_hw = input_hw // 4
-    flat = 64 * final_hw * final_hw
-    layers = [
-        Conv2d(input_channels, 16, 5, pad=2), ReLU(), MaxPool2d(2),
-        Conv2d(16, 32, 5, pad=2), ReLU(), MaxPool2d(2),
-        Conv2d(32, 64, 5, pad=2), ReLU(),
-        Flatten(), Dense(flat, 84), ReLU(), Dense(84, k),
-    ]
-    arch = {"kind": "cnn", "input_channels": input_channels, "input_hw": input_hw, "class_count": k}
-    return Model(layers, (input_channels, input_hw, input_hw), k, arch)
+    return Model(*_cnn(input_channels, input_hw, k))
 
 
 _BUILDERS = {
-    "mlp": (build_mlp, ("input_dim", "hidden", "class_count")),
-    "cnn": (build_cnn, ("input_channels", "input_hw", "class_count")),
+    "mlp": (_mlp, ("input_dim", "hidden", "class_count")),
+    "cnn": (_cnn, ("input_channels", "input_hw", "class_count")),
 }
 
 
-def build_from_descriptor(arch: dict) -> Model:
-    """Rebuild a model from its checkpoint architecture descriptor.
-
-    Every size the builder reads must be a positive integer; anything else
-    is a CheckpointError, since descriptors come from checkpoint headers.
-    """
+def build_from_descriptor(arch: dict, shapes: list[tuple]) -> Model:
+    """Rebuild a model from a checkpoint header's arch and shapes. Every size
+    the builder reads must be a positive integer and its layers must declare
+    exactly `shapes`, both checked before any parameter is allocated; anything
+    else is a CheckpointError, since the checksum covers only the payload."""
     kind = arch.get("kind")
     if not isinstance(kind, str) or kind not in _BUILDERS:
         raise ValidationError(f"unknown architecture kind: {kind!r}")
@@ -310,4 +344,8 @@ def build_from_descriptor(arch: dict) -> Model:
         if type(size) is not int or size < 1:
             raise CheckpointError(
                 f"{kind} architecture {key!r} must be a positive integer, got {size!r}")
-    return builder(*sizes)
+    layers, *rest = builder(*sizes)
+    declared = [s for layer in layers for s in layer.param_shapes]
+    if declared != shapes:
+        raise CheckpointError(f"parameter shapes {shapes} do not match architecture {declared}")
+    return Model(layers, *rest)

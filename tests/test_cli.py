@@ -9,7 +9,9 @@ import pytest
 
 from sadnet.cli import run
 from sadnet.data import load_cifar10, load_idx
-from sadnet.experiment import CHECKPOINT_MAGIC, load_checkpoint
+from sadnet.experiment import (CHECKPOINT_MAGIC, TrainConfig, checkpoint_of, load_checkpoint,
+                               save_checkpoint)
+from sadnet.nn import build_mlp
 
 
 def tiny_args(subcommand, out_dir, **extra):
@@ -120,6 +122,12 @@ class TestGradcheckCommand:
 
 
 class TestTrainCommand:
+    def test_divergence_exits_2(self, tmp_path, capsys):
+        with np.errstate(all="ignore"):
+            code = run(tiny_args("train", tmp_path, epochs=1, optimizer="sgd", lr=1e100))
+        assert code == 2
+        assert "non-finite loss" in capsys.readouterr().err
+
     def test_writes_run_artifacts(self, tmp_path, capsys):
         code = run(tiny_args("train", tmp_path, epochs=2))
         assert code == 0
@@ -285,6 +293,14 @@ class TestPipelineCommands:
         code = run(tiny_args("escape", out, epochs=1, **{"from_checkpoint": ckpt}))
         assert code == 2
         assert f"{key!r} must be a positive integer" in capsys.readouterr().err
+
+    def test_arch_larger_than_shapes_exits_2(self, tmp_path, capsys):
+        ckpt = save_checkpoint(checkpoint_of(build_mlp(12, 5, 3), TrainConfig(), "clean"),
+                               tmp_path / "model.ckpt")
+        rewrite_header(ckpt, lambda h: {**h, "arch": {**h["arch"], "hidden": 10**12}})
+        code = run(tiny_args("escape", tmp_path / "runs", epochs=1, **{"from_checkpoint": ckpt}))
+        assert code == 2
+        assert "do not match" in capsys.readouterr().err
 
     def test_zero_epoch_escape_prints_run_dir(self, tmp_path, capsys):
         out = tmp_path / "runs"

@@ -14,8 +14,8 @@ import pytest
 
 from sadnet import experiment
 from sadnet.data import LabeledDataset, build_corrupted_train, corrupt_labels
-from sadnet.errors import (CheckpointError, ConsistencyError, FormatError,
-                           ValidationError)
+from sadnet.errors import (CheckpointError, ConsistencyError, DivergenceError,
+                           FormatError, ValidationError)
 from sadnet.experiment import (CHECKPOINT_MAGIC, Checkpoint, TrainConfig, checkpoint_of,
                                clean_gradient_norm, construct_sad_point,
                                corruption_rng, distance_report, escape_run,
@@ -125,6 +125,19 @@ class TestTrain:
         other = synth_blobs(12, k=3, dim=32, seed=3)
         with pytest.raises(ConsistencyError):
             train(model, other, other, test_ds, cfg)
+
+    def test_non_finite_loss_raises_with_record(self, blob_pair):
+        # SGD at lr 1e100 overflows the logits within the first epoch
+        train_ds, test_ds = blob_pair
+        cfg = blob_config(optimizer="sgd", lr=1e100)
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError,
+                                                      match="non-finite loss at epoch 1") as info:
+            train(new_model(cfg, train_ds), train_ds, train_ds, test_ds, cfg)
+        record = info.value.record
+        assert record.run_id == run_id_for(asdict(cfg), "clean")
+        assert record.header()["config"] == asdict(cfg)
+        assert math.isfinite(record.init_metrics["train_loss"])
+        assert record.rows == []
 
 
 class TestEvaluate:
@@ -483,6 +496,17 @@ class TestCheckpointIO:
         with pytest.raises(FormatError, match="shape"):
             load_checkpoint(path)
 
+    # the checksum covers only the payload, so a header arch far larger than
+    # its shapes must be refused before the model allocates anything
+    @pytest.mark.parametrize("hidden", [10**12, 6])
+    def test_arch_disagreeing_with_shapes(self, tmp_path, hidden):
+        path = save_checkpoint(checkpoint_of(build_mlp(12, 5, 3), blob_config(), "clean"),
+                               tmp_path / "model.ckpt")
+        self._mutate_header(path, lambda h: {**h, "arch": {**h["arch"], "hidden": hidden}})
+        loaded = load_checkpoint(path)
+        with pytest.raises(CheckpointError, match="do not match"):
+            loaded.to_model()
+
     @staticmethod
     def _rewrite_header(blob_pair, tmp_path, mutate):
         """Save a valid checkpoint, then replace its header with mutate(header);
@@ -491,6 +515,11 @@ class TestCheckpointIO:
         cfg = blob_config()
         path = save_checkpoint(checkpoint_of(new_model(cfg, train_ds), cfg, "clean"),
                                tmp_path / "model.ckpt")
+        TestCheckpointIO._mutate_header(path, mutate)
+        return path
+
+    @staticmethod
+    def _mutate_header(path, mutate):
         raw = path.read_bytes()
         offset = len(CHECKPOINT_MAGIC)
         (length,) = struct.unpack(">Q", raw[offset:offset + 8])
@@ -498,4 +527,3 @@ class TestCheckpointIO:
         new_header = json.dumps(mutate(header)).encode()
         path.write_bytes(CHECKPOINT_MAGIC + struct.pack(">Q", len(new_header))
                          + new_header + raw[offset + 8 + length:])
-        return path

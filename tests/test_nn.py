@@ -73,10 +73,10 @@ class TestBuilders:
 
     def test_build_from_descriptor_round_trip(self):
         model = nn.build_mlp(12, 5, 3)
-        again = nn.build_from_descriptor(model.arch)
+        again = nn.build_from_descriptor(model.arch, model.shapes)
         assert [p.shape for p in again.parameters()] == [p.shape for p in model.parameters()]
         with pytest.raises(ValidationError):
-            nn.build_from_descriptor({"kind": "resnet"})
+            nn.build_from_descriptor({"kind": "resnet"}, [])
 
 
 class TestForward:
