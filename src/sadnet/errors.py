@@ -30,7 +30,7 @@ class CheckpointError(SadnetError, ValueError):
 
 
 class DivergenceError(SadnetError, RuntimeError):
-    """Training produced a non-finite loss; carries the last finite record."""
+    """Training produced a non-finite loss or metric; carries the record so far."""
 
     def __init__(self, message, record=None):
         super().__init__(message)

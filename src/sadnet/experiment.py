@@ -213,15 +213,16 @@ def train(model: nn.Model, train_ds: LabeledDataset, eval_train: LabeledDataset,
           tag: str = "clean", on_epoch=None) -> tuple[Checkpoint, RunRecord]:
     """Run cfg.epochs of minibatch training, recording metrics per epoch.
 
-    Metrics rows are evaluated on eval_train/eval_test (the clean sets,
-    even when train_ds is corrupted). Early stop triggers when accuracy
-    on train_ds itself reaches cfg.stop_at_train_acc. With cfg.epochs == 0
-    no step is taken: rows stay empty and the returned weights are the
-    start weights. The returned checkpoint's 'saturated' flag records
-    whether the last clean metrics meet accuracy >= 0.98 on eval_train and
-    <= 2/k on eval_test. With out_dir, the run directory gets the metrics
-    and the init and final checkpoints. A step is one nn.full_pass, so a batch
-    above nn.PASS_BATCH examples steps on its mean gradient summed over slices.
+    Metrics rows are evaluated on eval_train/eval_test (the clean sets, even when
+    train_ds is corrupted). Early stop triggers when accuracy on train_ds itself
+    reaches cfg.stop_at_train_acc. With cfg.epochs == 0 no step is taken: rows stay
+    empty and the returned weights are the start weights. The returned checkpoint's
+    'saturated' flag records whether the last clean metrics meet accuracy >= 0.98 on
+    eval_train and <= 2/k on eval_test. With out_dir, the run directory gets the
+    metrics and the init and final checkpoints. A step is one nn.full_pass, so a batch
+    above nn.PASS_BATCH examples steps on its mean gradient summed over slices. A
+    non-finite loss or metric is never recorded: it raises DivergenceError carrying
+    the record so far, and nothing is written.
     """
     for ds in (train_ds, eval_train, eval_test):
         if ds.class_count != model.class_count:
@@ -231,15 +232,23 @@ def train(model: nn.Model, train_ds: LabeledDataset, eval_train: LabeledDataset,
     state = optim.OptimizerState(cfg.optimizer, cfg.lr)
     init_cp = checkpoint_of(model, cfg, "init")
     config = asdict(cfg)
-    tr_loss, tr_acc = evaluate(model, eval_train)
-    te_loss, te_acc = evaluate(model, eval_test)
-    record = RunRecord(
-        config=config, run_id=run_id_for(config, tag), tag=tag,
-        init_hash=_params_hash(init_cp.theta),
-        init_metrics={"train_loss": tr_loss, "train_acc": tr_acc,
-                      "test_loss": te_loss, "test_acc": te_acc,
-                      "weight_norm": norm2(init_cp.theta)},
-    )
+    record = RunRecord(config=config, run_id=run_id_for(config, tag), tag=tag,
+                       init_hash=_params_hash(init_cp.theta), init_metrics={})
+
+    def finite(what: str, values) -> None:
+        # The one divergence rule: a run never records a non-finite value. Updates need
+        # no guard: an Adam step is at most lr*(1-b1)/sqrt((1-b2)*(1-b1**2/b2)) ~ 7.27*lr.
+        if not all(map(math.isfinite, values)):
+            raise DivergenceError(f"non-finite {what}", record)
+
+    def measure() -> tuple:
+        # clean losses, accuracies, norms; finite() judges them, so numpy warnings are off
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (*evaluate(model, eval_train), *evaluate(model, eval_test),
+                    norm2(model.theta), norm2(model.theta - init_cp.theta))
+
+    finite("init metrics", init := measure())
+    record.init_metrics = dict(zip(("train_loss", "train_acc", "test_loss", "test_acc", "weight_norm"), init))
 
     shuffle_seed = batch_seed(cfg.seed)
     target = cfg.stop_at_train_acc
@@ -247,33 +256,28 @@ def train(model: nn.Model, train_ds: LabeledDataset, eval_train: LabeledDataset,
     for epoch in range(1, cfg.epochs + 1):
         hits = 0
         for xb, yb in batches(train_ds, cfg.batch_size, shuffle_seed, epoch):
-            loss, batch_hits = nn.full_pass(model, xb, yb, grad=True)
-            if not np.isfinite(loss):
-                raise DivergenceError(f"non-finite loss at epoch {epoch}", record)
+            with np.errstate(over="ignore", invalid="ignore"):
+                loss, batch_hits = nn.full_pass(model, xb, yb, grad=True)
+            finite(f"loss at epoch {epoch}", (loss,))
             hits += batch_hits
             nn.add_l2_gradients(model, cfg.l2_lambda)
             optim.step(model, state)
-            if cfg.optimizer == "adam" and state.last_max_update > 10.0 * cfg.lr:
-                raise DivergenceError(
-                    f"adam update {state.last_max_update:.3e} exceeded 10*lr at epoch {epoch}", record)
-
-        tr_loss, tr_acc = evaluate(model, eval_train)
-        te_loss, te_acc = evaluate(model, eval_test)
-        record.rows.append(EpochRow(epoch, tr_loss, tr_acc, te_loss, te_acc,
-                                    norm2(model.theta), norm2(model.theta - init_cp.theta),
-                                    time.perf_counter() - start_time))
+        row = EpochRow(epoch, *measure(), time.perf_counter() - start_time)
+        finite(f"metrics at epoch {epoch}", astuple(row))
+        record.rows.append(row)
         if on_epoch is not None:
-            on_epoch(record.rows[-1])
+            on_epoch(row)
         if target is not None:
             if train_ds is eval_train:
-                reached = tr_acc >= target
+                reached = row.train_acc >= target
             else:
                 # full evaluation is only worth it once the online epoch accuracy is close
                 reached = hits / len(train_ds) >= target - 0.01 and evaluate(model, train_ds)[1] >= target
             if reached:
                 break
 
-    saturated = bool(tr_acc >= 0.98 and te_acc <= 2.0 / model.class_count)
+    last = asdict(record.rows[-1]) if record.rows else record.init_metrics
+    saturated = bool(last["train_acc"] >= 0.98 and last["test_acc"] <= 2.0 / model.class_count)
     cp = checkpoint_of(model, cfg, tag, flags={"saturated": saturated})
     if out_dir:
         record.run_dir = str(persist_run(out_dir, record, {"init": init_cp, tag: cp}))

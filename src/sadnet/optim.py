@@ -22,9 +22,7 @@ class OptimizerState:
 
     m/v and the two scratch vectors are shaped like model.theta and are
     allocated on the first Adam step, so the state can be created before
-    the model is initialized. Each Adam step sets last_max_update to the
-    largest |delta w| of its update (read by the training guard); SGD
-    steps leave it unchanged.
+    the model is initialized.
     """
 
     kind: str
@@ -32,7 +30,6 @@ class OptimizerState:
     m: np.ndarray | None = field(init=False, default=None)
     v: np.ndarray | None = field(init=False, default=None)
     t: int = field(init=False, default=0)
-    last_max_update: float = field(init=False, default=0.0, repr=False)
     scratch: tuple[np.ndarray, np.ndarray] | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
@@ -79,7 +76,6 @@ def adam_step(model: Model, state: OptimizerState) -> None:
     update *= state.lr
     update /= denom
     model.theta -= update
-    state.last_max_update = float(np.abs(update, out=denom).max(initial=0.0))
 
 
 def step(model: Model, state: OptimizerState) -> None:

@@ -130,14 +130,32 @@ class TestTrain:
         # SGD at lr 1e100 overflows the logits within the first epoch
         train_ds, test_ds = blob_pair
         cfg = blob_config(optimizer="sgd", lr=1e100)
-        with np.errstate(all="ignore"), pytest.raises(DivergenceError,
-                                                      match="non-finite loss at epoch 1") as info:
+        with pytest.raises(DivergenceError, match="non-finite loss at epoch 1") as info:
             train(new_model(cfg, train_ds), train_ds, train_ds, test_ds, cfg)
         record = info.value.record
         assert record.run_id == run_id_for(asdict(cfg), "clean")
         assert record.header()["config"] == asdict(cfg)
         assert math.isfinite(record.init_metrics["train_loss"])
         assert record.rows == []
+
+    def test_last_step_divergence_records_nothing_non_finite(self, blob_pair, tmp_path):
+        # one step per epoch: the losses the step sees stay finite, the epoch's metrics do not
+        train_ds, test_ds = blob_pair
+        cfg = blob_config(optimizer="sgd", lr=1e200, batch_size=64, epochs=1)
+        with pytest.raises(DivergenceError, match="non-finite metrics at epoch 1") as info:
+            train(new_model(cfg, train_ds), train_ds, train_ds, test_ds, cfg, out_dir=tmp_path)
+        assert info.value.record.rows == []
+        for path in tmp_path.rglob("*"):
+            if path.is_file():
+                assert b"NaN" not in path.read_bytes() and b"Infinity" not in path.read_bytes()
+
+    def test_infinite_weight_norm_with_finite_losses_raises(self):
+        train_ds = synth_blobs(40, k=2, dim=32, seed=0)
+        test_ds = synth_blobs(20, k=2, dim=32, seed=1)
+        cfg = TrainConfig(optimizer="sgd", lr=1e100, batch_size=8, epochs=1, hidden=16)
+        with pytest.raises(DivergenceError, match="non-finite metrics at epoch 1") as info:
+            train(new_model(cfg, train_ds), train_ds, train_ds, test_ds, cfg)
+        assert info.value.record.rows == []
 
 
 class TestEvaluate:
@@ -221,6 +239,16 @@ class TestSadPointAndEscape:
         np.testing.assert_array_equal(esc_cp.theta, sad_cp.theta)
         assert esc_cp.tag == "escaped"
         assert esc_rec.rows == []
+
+    def test_escape_from_non_finite_checkpoint_raises(self, blob_pair, tmp_path):
+        train_ds, test_ds = blob_pair
+        cfg = blob_config(epochs=0)
+        start = checkpoint_of(new_model(cfg, train_ds), cfg, "sad")
+        start.theta[0] = np.nan
+        with pytest.raises(DivergenceError, match="non-finite init metrics") as info:
+            escape_run(start, train_ds, test_ds, cfg, out_dir=tmp_path)
+        assert info.value.record.init_metrics == {}
+        assert list(tmp_path.iterdir()) == []
 
     def test_sad_run_directory_has_one_config(self, blob_pair, tmp_path):
         # with the default stop, init.ckpt holds the config the run trained with

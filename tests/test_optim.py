@@ -5,7 +5,7 @@ import pytest
 
 from sadnet import nn
 from sadnet.errors import StateError, ValidationError
-from sadnet.optim import OptimizerState, adam_step, sgd_step, step
+from sadnet.optim import BETA1, BETA2, OptimizerState, adam_step, sgd_step, step
 
 
 def scalar_adam_oracle(grads, lr, beta1=0.9, beta2=0.999, eps=1e-8, w0=0.0):
@@ -120,8 +120,27 @@ class TestAdam:
         state = OptimizerState("adam", 0.001)
         for _ in range(200):
             set_grads(model, rng.normal() * 10.0 ** rng.integers(-3, 3))
+            before = model.theta.copy()
             adam_step(model, state)
-            assert state.last_max_update <= 10 * 0.001
+            assert np.abs(model.theta - before).max() <= 10 * 0.001
+
+    @pytest.mark.parametrize("steps", [1, 100, 1000, 8000])
+    def test_update_within_cauchy_schwarz_bound(self, steps):
+        # g_i = (b1/b2)**(T-i) makes Cauchy-Schwarz tight on the bias-corrected step,
+        # so no gradient sequence moves a weight by more than lr times this bound
+        lr = 0.001
+        bound = (1 - BETA1) / np.sqrt((1 - BETA2) * (1 - BETA1 ** 2 / BETA2))
+        model = one_param_model(0.0)
+        state = OptimizerState("adam", lr)
+        for g in (BETA1 / BETA2) ** np.arange(steps - 1, -1, -1.0):
+            set_grads(model, g)
+            before = model.theta.copy()
+            adam_step(model, state)
+            delta = np.abs(model.theta - before).max()
+            assert delta <= lr * bound
+        if steps == 8000:
+            assert bound == pytest.approx(7.2703, abs=1e-4)
+            assert delta >= 7.269 * lr
 
     def test_deterministic(self):
         def run():
