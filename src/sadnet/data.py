@@ -146,6 +146,8 @@ def build_corrupted_train(train: LabeledDataset, corrupted_test: LabeledDataset)
     if train.images.shape[1:] != corrupted_test.images.shape[1:]:
         raise ConsistencyError(
             f"image shapes differ: {train.images.shape[1:]} vs {corrupted_test.images.shape[1:]}")
+    if len(corrupted_test) == 0:
+        raise ValidationError("corrupted test set is empty: the test split holds no images")
     t = len(train) // len(corrupted_test) + 1
     images = np.concatenate([train.images] + [corrupted_test.images] * t)
     labels = np.concatenate([train.labels] + [corrupted_test.labels] * t)

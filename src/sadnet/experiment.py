@@ -76,8 +76,8 @@ class TrainConfig:
             raise ValidationError(f"model_kind must be 'mlp' or 'cnn', got {self.model_kind!r}")
         if self.optimizer not in ("adam", "sgd"):
             raise ValidationError(f"optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
-        if self.lr <= 0:
-            raise ValidationError(f"lr must be positive, got {self.lr}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValidationError(f"lr must be positive and finite, got {self.lr}")
         if self.batch_size < 1:
             raise ValidationError(f"batch_size must be positive, got {self.batch_size}")
         if self.epochs < 0:
@@ -88,8 +88,8 @@ class TrainConfig:
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ValidationError(f"{name} must be >= 1 when set, got {value}")
-        if self.l2_lambda < 0:
-            raise ValidationError(f"l2_lambda must be >= 0, got {self.l2_lambda}")
+        if not (math.isfinite(self.l2_lambda) and self.l2_lambda >= 0):
+            raise ValidationError(f"l2_lambda must be finite and >= 0, got {self.l2_lambda}")
         if self.stop_at_train_acc is not None and not 0.0 <= self.stop_at_train_acc <= 1.0:
             raise ValidationError(f"stop_at_train_acc must lie in [0, 1], got {self.stop_at_train_acc}")
 
@@ -162,11 +162,16 @@ class Checkpoint:
     def params(self) -> list[np.ndarray]:
         return nn.split(self.theta, self.shapes)
 
-    def to_model(self, expect_kind: str | None = None) -> nn.Model:
-        if expect_kind is not None and self.arch.get("kind") != expect_kind:
+    def to_model(self, expect: TrainConfig | None = None) -> nn.Model:
+        """Rebuild the model. With expect, a checkpoint whose model kind or, for
+        an MLP, hidden width differs from that config's is a CheckpointError."""
+        if expect is not None and self.arch.get("kind") != expect.model_kind:
             raise CheckpointError(
-                f"checkpoint holds a {self.arch.get('kind')!r} model, expected {expect_kind!r}")
+                f"checkpoint holds a {self.arch.get('kind')!r} model, expected {expect.model_kind!r}")
         model = nn.build_from_descriptor(self.arch, self.shapes)
+        if expect is not None and expect.model_kind == "mlp" and self.arch["hidden"] != expect.hidden:
+            raise CheckpointError(
+                f"checkpoint holds an MLP of hidden width {self.arch['hidden']}, expected {expect.hidden}")
         model.theta[...] = self.theta
         return model
 
@@ -180,8 +185,9 @@ def checkpoint_of(model: nn.Model, cfg: TrainConfig, tag: str, flags: dict | Non
                       asdict(cfg), tag, flags or {})
 
 
-def run_id_for(config: dict, tag: str) -> str:
-    digest = hashlib.sha256(_canon_json({"config": config, "tag": tag}).encode()).hexdigest()
+def run_id_for(config: dict, tag: str, init_hash: str) -> str:
+    """Run directory name: runs of one config and tag from different start weights differ."""
+    digest = hashlib.sha256(_canon_json({"config": config, "tag": tag, "init_hash": init_hash}).encode()).hexdigest()
     return digest[:12]
 
 
@@ -232,8 +238,9 @@ def train(model: nn.Model, train_ds: LabeledDataset, eval_train: LabeledDataset,
     state = optim.OptimizerState(cfg.optimizer, cfg.lr)
     init_cp = checkpoint_of(model, cfg, "init")
     config = asdict(cfg)
-    record = RunRecord(config=config, run_id=run_id_for(config, tag), tag=tag,
-                       init_hash=_params_hash(init_cp.theta), init_metrics={})
+    init_hash = _params_hash(init_cp.theta)
+    record = RunRecord(config=config, run_id=run_id_for(config, tag, init_hash), tag=tag,
+                       init_hash=init_hash, init_metrics={})
 
     def finite(what: str, values) -> None:
         # The one divergence rule: a run never records a non-finite value. Updates need
@@ -312,7 +319,7 @@ def escape_run(sad: Checkpoint, train_ds: LabeledDataset, test_ds: LabeledDatase
     dist_from_init in the returned record is measured from the sad
     weights. epochs == 0 returns the starting weights unchanged.
     """
-    return train(sad.to_model(expect_kind=cfg.model_kind), train_ds, train_ds, test_ds, cfg,
+    return train(sad.to_model(expect=cfg), train_ds, train_ds, test_ds, cfg,
                  out_dir, tag="escaped", on_epoch=on_epoch)
 
 

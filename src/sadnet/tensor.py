@@ -51,48 +51,58 @@ def conv2d_batch(x: Tensor, kernels: Tensor, bias: Tensor, pad: int = 0) -> Tens
     ow = w + 2 * pad - kw + 1
     if oh < 1 or ow < 1:
         raise ShapeError(f"conv2d output extent {oh}x{ow} not positive for input {h}x{w}, kernel {kh}x{kw}, pad {pad}")
-    k2 = kernels.reshape(o, -1)
-    out = np.empty((b, o, oh * ow), dtype=np.float64)
-    for n, cols in _patch_matrices(x, pad, kh, kw):
-        np.matmul(k2, cols, out=out[n])
-    out += bias[:, None]
-    return out.reshape(b, o, oh, ow)
+    out = _correlate(x, kernels, pad, pad)
+    out += bias[:, None, None]
+    return out
 
 
 def conv2d_backward_batch(x: Tensor, kernels: Tensor, pad: int, dout: Tensor):
     """Gradients of conv2d_batch: returns (dx, dkernels, dbias).
 
-    Per image, dkernels accumulates dout times the transposed patch matrix;
-    dx is the kernels' transpose times dout, scattered back tap by tap
-    onto the padded input (col2im).
+    Per image, dkernels accumulates dout times the transposed patch matrix.
+    dx is the transposed convolution (Dumoulin & Visin, arXiv:1603.07285):
+    dout correlated with the kernels flipped in space and with their two
+    channel axes swapped, at padding k - 1 - pad on each axis. A pad wider
+    than k - 1 crops dout by the difference instead.
     """
-    b, c, h, w = x.shape
-    o, _, kh, kw = kernels.shape
-    _, _, oh, ow = dout.shape
+    o, c, kh, kw = kernels.shape
+    oh, ow = dout.shape[2:]
     dbias = dout.sum(axis=(0, 2, 3))
-    dout = dout.reshape(b, o, oh * ow)
-    k2t = kernels.reshape(o, -1).T
     dk = np.zeros((o, c * kh * kw), dtype=np.float64)
-    dxp = np.zeros((b, c, h + 2 * pad, w + 2 * pad), dtype=np.float64)
-    for n, cols in _patch_matrices(x, pad, kh, kw):
-        dk += dout[n] @ cols.T
-        dcols = (k2t @ dout[n]).reshape(c, kh, kw, oh, ow)
-        for i in range(kh):
-            for j in range(kw):
-                dxp[n, :, i:i + oh, j:j + ow] += dcols[:, i, j]
-    dx = dxp[:, :, pad:pad + h, pad:pad + w] if pad else dxp
-    return np.ascontiguousarray(dx), dk.reshape(kernels.shape), dbias
+    for n, cols in _patch_matrices(x, pad, pad, kh, kw):
+        dk += dout[n].reshape(o, oh * ow) @ cols.T
+    ph, pw = kh - 1 - pad, kw - 1 - pad
+    cy, cx = max(-ph, 0), max(-pw, 0)
+    flipped = kernels[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+    dx = _correlate(dout[:, :, cy:oh - cy, cx:ow - cx], flipped, max(ph, 0), max(pw, 0))
+    return dx, dk.reshape(kernels.shape), dbias
 
 
-def _patch_matrices(x: Tensor, pad: int, kh: int, kw: int):
-    """Yield (n, cols) for each image of x (B, C, H, W) zero-padded by pad.
+def _correlate(x: Tensor, kernels: Tensor, ph: int, pw: int) -> Tensor:
+    """Bias-free cross-correlation of x (B, C, H, W) with kernels (O, C, kh, kw).
+
+    x is zero-padded by ph rows and pw columns on each edge. Each image is
+    one GEMM of the flattened kernels with its patch matrix (im2col).
+    """
+    b, _, h, w = x.shape
+    o, _, kh, kw = kernels.shape
+    oh, ow = h + 2 * ph - kh + 1, w + 2 * pw - kw + 1
+    k2 = kernels.reshape(o, -1)
+    out = np.empty((b, o, oh * ow), dtype=np.float64)
+    for n, cols in _patch_matrices(x, ph, pw, kh, kw):
+        np.matmul(k2, cols, out=out[n])
+    return out.reshape(b, o, oh, ow)
+
+
+def _patch_matrices(x: Tensor, ph: int, pw: int, kh: int, kw: int):
+    """Yield (n, cols) for each image of x (B, C, H, W) zero-padded by ph rows and pw columns.
 
     cols is the (C*kh*kw, oh*ow) patch matrix of image n: row (c, i, j)
     holds padded channel c shifted by tap (i, j) at every output position.
     One buffer is refilled for each image, so only one image's patches
     are ever held; consume cols before advancing.
     """
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if ph or pw else x
     b, c, hp, wp = xp.shape
     oh, ow = hp - kh + 1, wp - kw + 1
     taps = sliding_window_view(xp, (kh, kw), axis=(2, 3)).transpose(0, 1, 4, 5, 2, 3)

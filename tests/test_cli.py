@@ -11,6 +11,7 @@ from sadnet.cli import run
 from sadnet.data import load_cifar10, load_idx
 from sadnet.experiment import (CHECKPOINT_MAGIC, TrainConfig, checkpoint_of, load_checkpoint,
                                save_checkpoint)
+from sadnet.fixtures import write_mnist_fixture
 from sadnet.nn import build_mlp
 
 
@@ -72,6 +73,13 @@ class TestValidation:
         code = run(tiny_args("train", tmp_path, epochs=1, **{option: value}))
         assert code == 1
         assert option in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("option,value", [("lr", "nan"), ("l2", "inf")])
+    def test_non_finite_rate_rejected(self, tmp_path, capsys, option, value):
+        code = run(tiny_args("train", tmp_path, epochs=1, **{option: value}))
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {option}")
         assert list(tmp_path.iterdir()) == []
 
     def test_config_file_value_outside_choices(self, tmp_path, capsys):
@@ -301,6 +309,25 @@ class TestPipelineCommands:
         code = run(tiny_args("escape", tmp_path / "runs", epochs=1, **{"from_checkpoint": ckpt}))
         assert code == 2
         assert "do not match" in capsys.readouterr().err
+
+    def test_sadpoint_on_empty_test_set_exits_1(self, tmp_path, capsys):
+        write_mnist_fixture(tmp_path / "mnist", n_test=0)
+        code = run(["sadpoint", "--dataset", "mnist", "--data-dir", str(tmp_path / "mnist"),
+                    "--epochs", "1", "--hidden", "8", "--out-dir", str(tmp_path / "runs")])
+        assert code == 1
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error: ")]
+        assert len(errors) == 1 and "empty" in errors[0]
+
+    def test_escape_with_other_hidden_width_exits_2(self, tmp_path, capsys):
+        # a 16-wide checkpoint escaped at the default width of 512
+        out = tmp_path / "runs"
+        assert run(tiny_args("train", out, epochs=1)) == 0
+        ckpt = find_run_dir(out) / "clean.ckpt"
+        capsys.readouterr()
+        assert run(["escape", "--dataset", "synth", "--train-subset", "60", "--test-subset", "20",
+                    "--epochs", "1", "--out-dir", str(out), "--from-checkpoint", str(ckpt)]) == 2
+        assert "hidden width 16, expected 512" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == [ckpt.parent.name]
 
     def test_zero_epoch_escape_prints_run_dir(self, tmp_path, capsys):
         out = tmp_path / "runs"

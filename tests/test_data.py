@@ -234,6 +234,11 @@ class TestBuildCorruptedTrain:
         with pytest.raises(ConsistencyError):
             build_corrupted_train(train, bad_shape)
 
+    def test_empty_corrupted_test_rejected(self):
+        empty = LabeledDataset(np.zeros((0, 1, 2, 2)), np.zeros(0, dtype=int), 10)
+        with pytest.raises(ValidationError, match="empty"):
+            build_corrupted_train(tiny_dataset(10), empty)
+
 
 class TestSubset:
     def test_full_size_is_permutation(self):

@@ -49,14 +49,26 @@ class TestTrainConfig:
             TrainConfig(stop_at_train_acc=1.5)
         with pytest.raises(ValidationError):
             TrainConfig(model_kind="resnet")
-        for field, value in (("hidden", 0), ("train_subset", 0), ("test_subset", -5)):
+        for field, value in (("hidden", 0), ("train_subset", 0), ("test_subset", -5),
+                             ("lr", math.nan), ("lr", math.inf),
+                             ("l2_lambda", math.nan), ("l2_lambda", math.inf)):
             with pytest.raises(ValidationError, match=field):
                 TrainConfig(**{field: value})
 
     def test_run_id_deterministic(self):
         cfg = blob_config()
-        assert run_id_for(asdict(cfg), "clean") == run_id_for(asdict(cfg), "clean")
-        assert run_id_for(asdict(cfg), "clean") != run_id_for(asdict(cfg), "sad")
+        assert run_id_for(asdict(cfg), "clean", "a1") == run_id_for(asdict(cfg), "clean", "a1")
+        assert run_id_for(asdict(cfg), "clean", "a1") != run_id_for(asdict(cfg), "sad", "a1")
+
+    def test_escape_run_id_names_start_weights(self, blob_pair, tmp_path):
+        # two escapes with one config from different sad points must not share a directory
+        train_ds, test_ds = blob_pair
+        cfg = blob_config(epochs=0)
+        starts = [checkpoint_of(new_model(blob_config(seed=seed), train_ds), cfg, "sad") for seed in (1, 2)]
+        ids = [escape_run(cp, train_ds, test_ds, cfg, out_dir=tmp_path)[1].run_id for cp in starts]
+        assert ids[0] != ids[1]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(ids)
+        assert escape_run(starts[0], train_ds, test_ds, cfg)[1].run_id == ids[0]
 
 
 class TestTrain:
@@ -133,7 +145,7 @@ class TestTrain:
         with pytest.raises(DivergenceError, match="non-finite loss at epoch 1") as info:
             train(new_model(cfg, train_ds), train_ds, train_ds, test_ds, cfg)
         record = info.value.record
-        assert record.run_id == run_id_for(asdict(cfg), "clean")
+        assert record.run_id == run_id_for(asdict(cfg), "clean", record.init_hash)
         assert record.header()["config"] == asdict(cfg)
         assert math.isfinite(record.init_metrics["train_loss"])
         assert record.rows == []
@@ -287,8 +299,9 @@ class TestSadPointAndEscape:
         train_ds, test_ds = blob_pair
         cfg = blob_config(epochs=1)
         cp, _ = train(new_model(cfg, train_ds), train_ds, train_ds, test_ds, cfg)
-        with pytest.raises(CheckpointError):
-            escape_run(cp, train_ds, test_ds, blob_config(model_kind="cnn", epochs=1))
+        for other in ({"model_kind": "cnn"}, {"hidden": 17}):
+            with pytest.raises(CheckpointError):
+                escape_run(cp, train_ds, test_ds, blob_config(epochs=1, **other))
 
     def test_full_corrupted_accuracy_implies_full_clean_accuracy(self, blob_pair):
         # the clean train set is the verbatim prefix of the corrupted one
@@ -445,7 +458,7 @@ class TestCheckpointIO:
         path = save_checkpoint(cp, tmp_path / "mlp.ckpt")
         loaded = load_checkpoint(path)
         with pytest.raises(CheckpointError):
-            loaded.to_model(expect_kind="cnn")
+            loaded.to_model(expect=blob_config(model_kind="cnn"))
 
     def test_persisted_run_directory(self, blob_pair, tmp_path):
         train_ds, test_ds = blob_pair

@@ -108,7 +108,8 @@ def central_difference(f, arr, h=1e-3):
     return grad
 
 
-BATCH_CASES = [(c, pad, k) for c in (1, 3) for pad in (0, 1, 2) for k in (3, 5)]
+# (1, 3, 3) pads wider than k - 1, so dx crops dout instead of padding it
+BATCH_CASES = [(c, pad, k) for c in (1, 3) for pad in (0, 1, 2) for k in (3, 5)] + [(1, 3, 3)]
 
 
 class TestConv2d:
