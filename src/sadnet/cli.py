@@ -272,6 +272,8 @@ def _cmd_gradcheck(ns) -> int:
 
 
 def _cmd_fixtures(ns) -> int:
+    if ns.seed < 0:
+        raise ValidationError(f"fixtures seed must be >= 0, got {ns.seed}")
     out = Path(ns.out_dir)
     idx_paths = write_mnist_fixture(out / "mnist", seed=ns.seed)
     write_mnist_fixture(out / "mnist-gz", seed=ns.seed, compress=True)

@@ -82,6 +82,9 @@ class TrainConfig:
             raise ValidationError(f"batch_size must be positive, got {self.batch_size}")
         if self.epochs < 0:
             raise ValidationError(f"epochs must be >= 0, got {self.epochs}")
+        for name in ("seed", "data_seed"):
+            if getattr(self, name) < 0:
+                raise ValidationError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.hidden < 1:
             raise ValidationError(f"hidden must be >= 1, got {self.hidden}")
         for name in ("train_subset", "test_subset"):

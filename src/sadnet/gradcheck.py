@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import nn
+from .errors import ValidationError
 
 H = 1e-5
 REL_TOLERANCE = 1e-6
@@ -74,6 +75,10 @@ def random_small_model(rng: np.random.Generator) -> nn.Model:
 
 def gradcheck_suite(seed: int, n_models: int = 20) -> tuple[float, list[dict]]:
     """Run the finite-difference suite; returns (max rel error, per-model detail)."""
+    if seed < 0:
+        raise ValidationError(f"gradcheck seed must be >= 0, got {seed}")
+    if n_models < 1:
+        raise ValidationError(f"gradcheck needs at least 1 model, got {n_models}")
     rng = np.random.default_rng((seed, 909))
     details = []
     worst = 0.0

@@ -33,7 +33,10 @@ class Layer:
     def forward(self, x, cache=True):
         raise NotImplementedError
 
-    def backward(self, delta):
+    def backward(self, delta, *, need_dx):
+        """Fill self.grads from the output gradient delta and return the input
+        gradient. need_dx is false when nothing reads that input gradient (the
+        model's first layer); a layer with parameters then returns None."""
         raise NotImplementedError
 
     def _take_cache(self):
@@ -52,15 +55,16 @@ class Dense(Layer):
         super().__init__((in_dim, out_dim), (out_dim,))
 
     def forward(self, x, cache=True):
-        out = T.matmul(x, self.w) + self.b
+        out = T.matmul(x, self.w)
+        out += self.b
         self._cache = x if cache else None
         return out
 
-    def backward(self, delta):
+    def backward(self, delta, *, need_dx):
         x = self._take_cache()
         self.grads[0][...] = T.matmul(x.T, delta)
         self.grads[1][...] = delta.sum(axis=0)
-        return T.matmul(delta, self.w.T)
+        return T.matmul(delta, self.w.T) if need_dx else None
 
 
 class ReLU(Layer):
@@ -70,7 +74,7 @@ class ReLU(Layer):
         self._cache = x if cache else None
         return T.relu(x)
 
-    def backward(self, delta):
+    def backward(self, delta, *, need_dx):
         return T.relu_backward(delta, self._take_cache())
 
 
@@ -89,12 +93,13 @@ class Conv2d(Layer):
         self._cache = x if cache else None
         return out
 
-    def backward(self, delta):
+    def backward(self, delta, *, need_dx):
+        # dx is dropped, not skipped: the one conv backward kernel returns dx, dk and db
         x = self._take_cache()
         dx, dk, db = T.conv2d_backward_batch(x, self.kernels, self.pad, delta)
         self.grads[0][...] = dk
         self.grads[1][...] = db
-        return dx
+        return dx if need_dx else None
 
 
 class MaxPool2d(Layer):
@@ -109,7 +114,7 @@ class MaxPool2d(Layer):
         self._cache = (idx, x.shape) if cache else None
         return out
 
-    def backward(self, delta):
+    def backward(self, delta, *, need_dx):
         idx, in_shape = self._take_cache()
         return T.maxpool2d_backward_batch(idx, delta, self.window, in_shape)
 
@@ -121,7 +126,7 @@ class Flatten(Layer):
         self._cache = x.shape if cache else None
         return np.ascontiguousarray(x.reshape(x.shape[0], -1))
 
-    def backward(self, delta):
+    def backward(self, delta, *, need_dx):
         return delta.reshape(self._take_cache())
 
 
@@ -175,9 +180,11 @@ class Model:
         return out
 
     def backward(self, logit_gradient: np.ndarray) -> None:
+        """Fill grad from the logits' gradient. The first layer gets
+        need_dx=False: nothing reads the gradient of the model's input."""
         delta = logit_gradient
         for layer in reversed(self.layers):
-            delta = layer.backward(delta)
+            delta = layer.backward(delta, need_dx=layer is not self.layers[0])
         self.grads_ready = True
 
     def parameters(self) -> list[np.ndarray]:

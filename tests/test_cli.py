@@ -92,6 +92,21 @@ class TestValidation:
         assert "imagenet" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["train", "--seed", "-1"], ["train", "--data-seed", "-2"],
+        ["gradcheck", "--seed", "-1"], ["fixtures", "--seed", "-1"],
+    ], ids=["train-seed", "train-data-seed", "gradcheck-seed", "fixtures-seed"])
+    def test_negative_seed_rejected(self, tmp_path, capsys, argv):
+        if argv[0] == "train":
+            argv = tiny_args("train", tmp_path, epochs=1) + argv[1:]
+        elif argv[0] == "fixtures":
+            argv = argv + ["--out-dir", str(tmp_path / "fx")]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("error:") == 1
+        assert "seed must be >= 0" in err.splitlines()[0]
+        assert list(tmp_path.iterdir()) == []
+
     def test_escape_requires_checkpoint(self, tmp_path, capsys):
         code = run(tiny_args("escape", tmp_path, epochs=1))
         assert code == 1
@@ -127,6 +142,13 @@ class TestGradcheckCommand:
         assert "max relative error" in out
         reported = float(out.strip().rsplit(" ", 1)[-1])
         assert reported < 1e-6
+
+    @pytest.mark.parametrize("models", ["0", "-3"])
+    def test_no_models_exits_1(self, capsys, models):
+        assert run(["gradcheck", "--models", models]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: gradcheck needs at least 1 model")
+        assert "max relative error" not in captured.out
 
 
 class TestTrainCommand:

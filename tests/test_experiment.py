@@ -51,7 +51,8 @@ class TestTrainConfig:
             TrainConfig(model_kind="resnet")
         for field, value in (("hidden", 0), ("train_subset", 0), ("test_subset", -5),
                              ("lr", math.nan), ("lr", math.inf),
-                             ("l2_lambda", math.nan), ("l2_lambda", math.inf)):
+                             ("l2_lambda", math.nan), ("l2_lambda", math.inf),
+                             ("seed", -1), ("data_seed", -2)):
             with pytest.raises(ValidationError, match=field):
                 TrainConfig(**{field: value})
 

@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 
 from sadnet import nn
+from sadnet import tensor as T
 from sadnet.errors import ShapeError, StateError, ValidationError
 from sadnet.experiment import Checkpoint
-from sadnet.gradcheck import (analytic_gradients, max_relative_error, numerical_gradients,
-                              random_small_model)
+from sadnet.gradcheck import (analytic_gradients, gradcheck_suite, max_relative_error,
+                              numerical_gradients, random_small_model)
 
 
 def two_matmul_oracle(x, w1, b1, w2, b2):
@@ -211,6 +212,59 @@ class TestBackward:
             p -= 0.05 * g
         after = nn.cross_entropy(model.forward(x), y)
         assert after.mean_loss < before.mean_loss
+
+
+class TestFirstLayerInputGradient:
+    @staticmethod
+    def _forward_and_loss(model, seed):
+        rng = np.random.default_rng(seed)
+        nn.init_xavier_uniform(model, rng)
+        x = rng.normal(size=(5, *model.input_shape))
+        y = rng.integers(0, model.class_count, size=5)
+        return x, nn.cross_entropy(model.forward(x), y).logit_gradient
+
+    @pytest.mark.parametrize("make", [lambda: nn.build_mlp(6, 5, 3),
+                                      lambda: nn.build_cnn(1, 8, 4)], ids=["mlp", "cnn"])
+    def test_grad_matches_every_layer_with_input_gradient(self, make):
+        model = make()
+        x, logit_gradient = self._forward_and_loss(model, 31)
+        model.backward(logit_gradient)
+        skipped = model.grad.copy()
+        model.grad[...] = np.nan
+        delta = logit_gradient
+        for layer in reversed(model.layers):
+            delta = layer.backward(delta, need_dx=True)
+        assert delta.shape == x.shape
+        np.testing.assert_array_equal(model.grad, skipped)
+
+    def test_mlp_backward_skips_the_first_input_gradient(self, monkeypatch):
+        model = nn.build_mlp(6, 5, 3)
+        _, logit_gradient = self._forward_and_loss(model, 32)
+        matmuls, returned = [], []
+        matmul, dense_backward = T.matmul, nn.Dense.backward
+
+        def counted_matmul(a, b):
+            matmuls.append(a.shape)
+            return matmul(a, b)
+
+        def recorded_backward(layer, delta, *, need_dx):
+            dx = dense_backward(layer, delta, need_dx=need_dx)
+            returned.append((layer, dx))
+            return dx
+
+        monkeypatch.setattr(T, "matmul", counted_matmul)
+        monkeypatch.setattr(nn.Dense, "backward", recorded_backward)
+        model.backward(logit_gradient)
+        assert len(matmuls) == 3
+        assert [layer for layer, _ in returned] == [model.layers[2], model.layers[0]]
+        assert returned[0][1].shape == (5, 5) and returned[1][1] is None
+
+
+class TestGradcheckSuite:
+    @pytest.mark.parametrize("seed,n_models", [(-1, 1), (0, 0), (0, -3)])
+    def test_rejects_negative_seed_and_no_models(self, seed, n_models):
+        with pytest.raises(ValidationError):
+            gradcheck_suite(seed, n_models=n_models)
 
 
 class TestL2:

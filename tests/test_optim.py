@@ -1,11 +1,13 @@
 """Optimizer update rules against closed forms and a scalar recurrence oracle."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from sadnet import nn
 from sadnet.errors import StateError, ValidationError
-from sadnet.optim import BETA1, BETA2, OptimizerState, adam_step, sgd_step, step
+from sadnet.optim import BETA1, BETA2, BLOCK, EPS, OptimizerState, adam_step, sgd_step, step
 
 
 def scalar_adam_oracle(grads, lr, beta1=0.9, beta2=0.999, eps=1e-8, w0=0.0):
@@ -18,6 +20,23 @@ def scalar_adam_oracle(grads, lr, beta1=0.9, beta2=0.999, eps=1e-8, w0=0.0):
         v_hat = v / (1 - beta2 ** t)
         w -= lr * m_hat / (v_hat ** 0.5 + eps)
     return w
+
+
+def whole_vector_adam(theta, g, m, v, t, lr):
+    """adam_step's in-place sequence run once over the whole vector, unblocked."""
+    update, denom = np.empty_like(g), np.empty_like(g)
+    m *= BETA1
+    m += np.multiply(g, 1.0 - BETA1, out=update)
+    v *= BETA2
+    np.multiply(g, 1.0 - BETA2, out=update)
+    update *= g
+    v += update
+    np.sqrt(np.divide(v, 1.0 - BETA2 ** t, out=denom), out=denom)
+    denom += EPS
+    np.divide(m, 1.0 - BETA1 ** t, out=update)
+    update *= lr
+    update /= denom
+    theta -= update
 
 
 def one_param_model(value):
@@ -166,6 +185,24 @@ class TestAdam:
             assert state.t == expected_t
         assert state.m.shape == state.v.shape == model.theta.shape
         assert (state.v >= 0).all()
+
+    @pytest.mark.parametrize("size", [1, BLOCK - 1, BLOCK, 3 * BLOCK + 7])
+    def test_blocks_match_whole_vector_bit_for_bit(self, size):
+        rng = np.random.default_rng(size)
+        theta = rng.normal(size=size)
+        model = SimpleNamespace(theta=theta.copy(), grad=np.empty(size), grads_ready=True)
+        state = OptimizerState("adam", 0.003)
+        m, v = np.zeros(size), np.zeros(size)
+        for t in range(1, 5):
+            g = rng.normal(size=size) * 10.0 ** rng.integers(-6, 3, size=size)
+            g[rng.random(size) < 0.1] = 0.0
+            model.grad[...] = g
+            adam_step(model, state)
+            whole_vector_adam(theta, g, m, v, t, 0.003)
+            np.testing.assert_array_equal(model.theta, theta)
+            np.testing.assert_array_equal(state.m, m)
+            np.testing.assert_array_equal(state.v, v)
+        assert all(s.size <= BLOCK for s in state.scratch)
 
     def test_validation(self):
         with pytest.raises(ValidationError):
