@@ -135,7 +135,15 @@ def _resolve_options(ns) -> dict:
         resolved["data_dir"] = os.environ.get("SADNET_DATA_DIR")
     if resolved["epochs"] is None:
         resolved["epochs"] = _EPOCH_DEFAULTS[ns.subcommand]
+    _check_out_dir(resolved["out_dir"])
     return resolved
+
+
+def _check_out_dir(out_dir: str) -> None:
+    """Refuse, before any work, an out-dir whose deepest existing path is not a directory."""
+    existing = next(p for p in (Path(out_dir), *Path(out_dir).parents) if p.exists())
+    if not existing.is_dir():
+        raise ValidationError(f"out dir {out_dir}: {existing} is not a directory")
 
 
 def _find_idx_pair(data_dir: Path, images_name: str, labels_name: str):
@@ -244,6 +252,7 @@ def _cmd_analyze(ns) -> int:
     runs_dir = Path(ns.runs_dir)
     if not runs_dir.is_dir():
         raise ValidationError(f"runs dir not found: {runs_dir}")
+    _check_out_dir(ns.out_dir)
     pairs = []
     for run_dir in sorted(p for p in runs_dir.iterdir() if p.is_dir()):
         init_path = run_dir / "init.ckpt"
@@ -274,6 +283,7 @@ def _cmd_gradcheck(ns) -> int:
 def _cmd_fixtures(ns) -> int:
     if ns.seed < 0:
         raise ValidationError(f"fixtures seed must be >= 0, got {ns.seed}")
+    _check_out_dir(ns.out_dir)
     out = Path(ns.out_dir)
     idx_paths = write_mnist_fixture(out / "mnist", seed=ns.seed)
     write_mnist_fixture(out / "mnist-gz", seed=ns.seed, compress=True)
@@ -302,7 +312,7 @@ def run(argv) -> int:
         print(f"error: {exc}", file=sys.stderr)
         print(parser.format_usage(), file=sys.stderr, end="")
         return 1
-    except SadnetError as exc:
+    except (SadnetError, OSError) as exc:  # an OSError here comes from writing a result
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -91,6 +91,8 @@ def load_idx(images_path, labels_path, name: str = "", class_count: int | None =
     if n_labels != n:
         raise ConsistencyError(f"{n} images but {n_labels} labels")
     labels = np.frombuffer(body, dtype=np.uint8).astype(np.int64)
+    if class_count is not None and labels.max(initial=0) >= class_count:
+        raise FormatError(f"{labels_path}: label {labels.max()} outside [0, {class_count})")
 
     k = class_count if class_count is not None else int(labels.max()) + 1 if n else 1
     return LabeledDataset(images, labels, k, name or Path(images_path).stem)
@@ -102,6 +104,8 @@ def _load_cifar_file(path):
         raise FormatError(f"{path}: length {len(raw)} is not a multiple of {CIFAR_RECORD_BYTES}")
     records = np.frombuffer(raw, dtype=np.uint8).reshape(-1, CIFAR_RECORD_BYTES)
     labels = records[:, 0].astype(np.int64)
+    if labels.max() >= 10:
+        raise FormatError(f"{path}: label {labels.max()} outside [0, 10)")
     images = records[:, 1:].reshape(-1, 3, 32, 32) / 255.0
     return images, labels
 

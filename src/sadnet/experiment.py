@@ -151,32 +151,27 @@ class RunRecord:
 
 @dataclass
 class Checkpoint:
-    """One weight vector in canonical parameter order plus the shapes it splits into."""
+    """One weight vector in canonical parameter order; arch alone fixes its layout."""
 
     arch: dict
     theta: np.ndarray
-    shapes: list[tuple]
-    seed: int
     config: dict
     tag: str
     flags: dict = field(default_factory=dict)
 
     @property
     def params(self) -> list[np.ndarray]:
-        return nn.split(self.theta, self.shapes)
+        return nn.split(self.theta, _param_shapes(self.arch))
 
-    def to_model(self, expect: TrainConfig | None = None) -> nn.Model:
-        """Rebuild the model. With expect, a checkpoint whose model kind or, for
-        an MLP, hidden width differs from that config's is a CheckpointError."""
-        if expect is not None and self.arch.get("kind") != expect.model_kind:
-            raise CheckpointError(
-                f"checkpoint holds a {self.arch.get('kind')!r} model, expected {expect.model_kind!r}")
-        model = nn.build_from_descriptor(self.arch, self.shapes)
-        if expect is not None and expect.model_kind == "mlp" and self.arch["hidden"] != expect.hidden:
-            raise CheckpointError(
-                f"checkpoint holds an MLP of hidden width {self.arch['hidden']}, expected {expect.hidden}")
+    def to_model(self) -> nn.Model:
+        """The model arch describes, holding a copy of theta."""
+        model = nn.build_from_descriptor(self.arch)
         model.theta[...] = self.theta
         return model
+
+
+def _param_shapes(arch: dict) -> list[tuple]:
+    return [s for layer in nn.layers_of(arch)[0] for s in layer.param_shapes]
 
 
 def _canon_json(obj) -> str:
@@ -184,8 +179,7 @@ def _canon_json(obj) -> str:
 
 
 def checkpoint_of(model: nn.Model, cfg: TrainConfig, tag: str, flags: dict | None = None) -> Checkpoint:
-    return Checkpoint(dict(model.arch), model.theta.copy(), list(model.shapes), cfg.seed,
-                      asdict(cfg), tag, flags or {})
+    return Checkpoint(dict(model.arch), model.theta.copy(), asdict(cfg), tag, flags or {})
 
 
 def run_id_for(config: dict, tag: str, init_hash: str) -> str:
@@ -198,15 +192,19 @@ def _params_hash(flat: np.ndarray) -> str:
     return hashlib.sha256(flat.astype("<f8").tobytes()).hexdigest()[:16]
 
 
-def new_model(cfg: TrainConfig, ds: LabeledDataset) -> nn.Model:
-    """Build the configured architecture for ds and Xavier-init it from cfg.seed."""
+def _build(cfg: TrainConfig, ds: LabeledDataset) -> nn.Model:
+    """The configured architecture for ds, weights zero."""
     n, c, h, w = ds.images.shape
     if cfg.model_kind == "mlp":
-        model = nn.build_mlp(c * h * w, cfg.hidden, ds.class_count)
-    else:
-        if h != w:
-            raise ValidationError(f"cnn needs square images, got {h}x{w}")
-        model = nn.build_cnn(c, h, ds.class_count)
+        return nn.build_mlp(c * h * w, cfg.hidden, ds.class_count)
+    if h != w:
+        raise ValidationError(f"cnn needs square images, got {h}x{w}")
+    return nn.build_cnn(c, h, ds.class_count)
+
+
+def new_model(cfg: TrainConfig, ds: LabeledDataset) -> nn.Model:
+    """Build the configured architecture for ds and Xavier-init it from cfg.seed."""
+    model = _build(cfg, ds)
     nn.init_xavier_uniform(model, init_rng(cfg.seed))
     return model
 
@@ -319,11 +317,14 @@ def escape_run(sad: Checkpoint, train_ds: LabeledDataset, test_ds: LabeledDatase
                cfg: TrainConfig, out_dir=None, on_epoch=None) -> tuple[Checkpoint, RunRecord]:
     """Restart training from a sad point on the clean train set.
 
-    dist_from_init in the returned record is measured from the sad
-    weights. epochs == 0 returns the starting weights unchanged.
+    A sad arch other than the one cfg makes for train_ds is a CheckpointError. dist_from_init
+    is measured from the sad weights. epochs == 0 returns the starting weights unchanged.
     """
-    return train(sad.to_model(expect=cfg), train_ds, train_ds, test_ds, cfg,
-                 out_dir, tag="escaped", on_epoch=on_epoch)
+    model = _build(cfg, train_ds)
+    if sad.arch != model.arch:
+        raise CheckpointError(f"checkpoint holds {sad.arch}, config makes {model.arch}")
+    model.theta[...] = sad.theta
+    return train(model, train_ds, train_ds, test_ds, cfg, out_dir, tag="escaped", on_epoch=on_epoch)
 
 
 def clean_gradient_norm(checkpoint: Checkpoint, clean_train: LabeledDataset) -> float:
@@ -395,8 +396,6 @@ def save_checkpoint(cp: Checkpoint, path) -> Path:
     payload = np.ascontiguousarray(cp.theta, dtype="<f8").tobytes()
     header = {
         "arch": cp.arch,
-        "shapes": [list(s) for s in cp.shapes],
-        "seed": cp.seed,
         "tag": cp.tag,
         "config": cp.config,
         "flags": cp.flags,
@@ -424,29 +423,24 @@ def _write_atomic(path: Path, *chunks: bytes) -> None:
         raise
 
 
-_HEADER_TYPES = {"arch": dict, "shapes": list, "seed": int, "config": dict, "tag": str,
-                 "checksum": str}
+_HEADER_TYPES = {"arch": dict, "config": dict, "tag": str, "checksum": str}
 
 
 def _check_header(path, header) -> None:
-    """Raise FormatError unless header has every field load_checkpoint reads,
-    with shapes a list of lists of non-negative integers."""
+    """Raise FormatError unless header has every field load_checkpoint reads."""
     if not isinstance(header, dict):
         raise FormatError(f"{path}: header is a JSON {type(header).__name__}, not an object")
     for key, kind in _HEADER_TYPES.items():
         if key not in header:
             raise FormatError(f"{path}: header lacks {key!r}")
-        if not isinstance(header[key], kind) or isinstance(header[key], bool):
+        if not isinstance(header[key], kind):
             raise FormatError(f"{path}: header {key!r} is not a {kind.__name__}")
     if not isinstance(header.get("flags", {}), dict):
         raise FormatError(f"{path}: header 'flags' is not a dict")
-    for shape in header["shapes"]:
-        if not isinstance(shape, list) or not all(
-                type(d) is int and d >= 0 for d in shape):
-            raise FormatError(f"{path}: header shape {shape!r} is not a list of non-negative integers")
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read a SADNETv1 file; the shapes and seed that older headers carry are ignored."""
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
@@ -469,13 +463,13 @@ def load_checkpoint(path) -> Checkpoint:
     payload = raw[offset:]
     if hashlib.sha256(payload).hexdigest() != header["checksum"]:
         raise FormatError(f"{path}: payload checksum mismatch")
-    shapes = [tuple(s) for s in header["shapes"]]
-    need = sum(math.prod(s) for s in shapes) * 8
+    # the arch's layers must hold the payload exactly, checked before theta is allocated
+    need = sum(math.prod(s) for s in _param_shapes(header["arch"])) * 8
     if len(payload) != need:
-        raise FormatError(f"{path}: payload holds {len(payload)} bytes, shapes need {need}")
+        raise FormatError(f"{path}: payload holds {len(payload)} bytes, arch needs {need}")
     theta = np.frombuffer(payload, dtype="<f8").astype(np.float64)
-    return Checkpoint(header["arch"], theta, shapes, header["seed"], header["config"],
-                      header["tag"], header.get("flags", {}))
+    return Checkpoint(header["arch"], theta, header["config"], header["tag"],
+                      header.get("flags", {}))
 
 
 def persist_run(out_dir, record: RunRecord, checkpoints: dict[str, Checkpoint]) -> Path:

@@ -337,22 +337,25 @@ _BUILDERS = {
 }
 
 
-def build_from_descriptor(arch: dict, shapes: list[tuple]) -> Model:
-    """Rebuild a model from a checkpoint header's arch and shapes. Every size
-    the builder reads must be a positive integer and its layers must declare
-    exactly `shapes`, both checked before any parameter is allocated; anything
-    else is a CheckpointError, since the checksum covers only the payload."""
+def layers_of(arch: dict) -> tuple:
+    """The builder's (layers, input shape, class count, arch) for a checkpoint's arch,
+    allocating no parameter. Its kind must be known and its sizes positive integers
+    the builder accepts, else CheckpointError: the checksum covers only the payload."""
     kind = arch.get("kind")
     if not isinstance(kind, str) or kind not in _BUILDERS:
-        raise ValidationError(f"unknown architecture kind: {kind!r}")
+        raise CheckpointError(f"unknown architecture kind: {kind!r}")
     builder, keys = _BUILDERS[kind]
     sizes = [arch.get(key) for key in keys]
     for key, size in zip(keys, sizes):
         if type(size) is not int or size < 1:
             raise CheckpointError(
                 f"{kind} architecture {key!r} must be a positive integer, got {size!r}")
-    layers, *rest = builder(*sizes)
-    declared = [s for layer in layers for s in layer.param_shapes]
-    if declared != shapes:
-        raise CheckpointError(f"parameter shapes {shapes} do not match architecture {declared}")
-    return Model(layers, *rest)
+    try:
+        return builder(*sizes)
+    except ShapeError as exc:
+        raise CheckpointError(f"{kind} architecture: {exc}") from exc
+
+
+def build_from_descriptor(arch: dict) -> Model:
+    """Rebuild a model, weights zero, from a checkpoint's arch (see layers_of)."""
+    return Model(*layers_of(arch))

@@ -124,8 +124,10 @@ class TestGradientAndInit:
         worst, details = gradcheck_suite(seed=2026, n_models=20)
         elapsed = time.perf_counter() - start
         ok = worst < 1e-6 and elapsed < 60.0
+        # the seconds stay out of the tracked report, which would change on every run
+        print(f"gradcheck suite took {elapsed:.1f}s")
         report(1, ok, f"20-model finite-difference suite, max rel err {worst:.3e} "
-                      f"(< 1e-6), {elapsed:.1f}s (< 60s)")
+                      f"(< 1e-6), wall time < 60s")
 
     def test_criterion_2_init_loss(self, datasets):
         train_ds, _, _ = datasets

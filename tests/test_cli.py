@@ -7,12 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sadnet import experiment
 from sadnet.cli import run
 from sadnet.data import load_cifar10, load_idx
 from sadnet.experiment import (CHECKPOINT_MAGIC, TrainConfig, checkpoint_of, load_checkpoint,
                                save_checkpoint)
 from sadnet.fixtures import write_mnist_fixture
-from sadnet.nn import build_mlp
+from sadnet.nn import build_cnn, build_mlp
 
 
 def tiny_args(subcommand, out_dir, **extra):
@@ -111,6 +112,35 @@ class TestValidation:
         code = run(tiny_args("escape", tmp_path, epochs=1))
         assert code == 1
         assert "from-checkpoint" in capsys.readouterr().err
+
+
+class TestOutDir:
+    # a file where the out dir or one of its parents should be is refused before
+    # any data is read, so nothing is trained for nothing and nothing is written
+    @pytest.mark.parametrize("subcommand", ["train", "sadpoint", "escape", "analyze", "fixtures"])
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "under-file"])
+    def test_out_dir_blocked_by_file_exits_1(self, tmp_path, capsys, subcommand, below):
+        blocker = tmp_path / "afile"
+        blocker.write_text("")
+        out = blocker / "sub" if below else blocker
+        if subcommand == "analyze":
+            argv = ["analyze", "--runs-dir", str(tmp_path), "--out-dir", str(out)]
+        elif subcommand == "fixtures":
+            argv = ["fixtures", "--out-dir", str(out)]
+        else:
+            extra = {"from_checkpoint": tmp_path / "absent.ckpt"} if subcommand == "escape" else {}
+            argv = tiny_args(subcommand, out, epochs=1, **extra)
+        assert run(argv) == 1
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and f"{blocker} is not a directory" in errors[0]
+        assert list(tmp_path.iterdir()) == [blocker]
+
+    def test_failed_write_exits_2(self, tmp_path, capsys, monkeypatch):
+        def fail(*args):
+            raise OSError(28, "No space left on device")
+        monkeypatch.setattr(experiment, "_write_atomic", fail)
+        assert run(tiny_args("train", tmp_path, epochs=1)) == 2
+        assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
 
 
 class TestFixturesCommand:
@@ -231,6 +261,22 @@ class TestTrainCommand:
         assert code == 1
         assert "data_batch_2.bin" in capsys.readouterr().err
 
+    # the last IDX label byte, or the first CIFAR record's label byte
+    @pytest.mark.parametrize("dataset,name,offset,bad", [
+        ("mnist", "t10k-labels-idx1-ubyte", -1, 200), ("cifar10", "test_batch.bin", 0, 77),
+    ], ids=["mnist", "cifar10"])
+    def test_label_outside_ten_classes_exits_2(self, tmp_path, capsys, dataset, name, offset, bad):
+        assert run(["fixtures", "--out-dir", str(tmp_path / "fx")]) == 0
+        path = tmp_path / "fx" / dataset / name
+        raw = bytearray(path.read_bytes())
+        raw[offset] = bad
+        path.write_bytes(bytes(raw))
+        capsys.readouterr()
+        code = run(["train", "--dataset", dataset, "--data-dir", str(tmp_path / "fx" / dataset),
+                    "--epochs", "1", "--out-dir", str(tmp_path / "runs")])
+        assert code == 2
+        assert f"{name}: label {bad} outside" in capsys.readouterr().err
+
     def test_corrupt_gzip_exits_2(self, tmp_path, capsys):
         assert run(["fixtures", "--out-dir", str(tmp_path / "fx")]) == 0
         mnist = tmp_path / "fx" / "mnist-gz"
@@ -330,7 +376,16 @@ class TestPipelineCommands:
         rewrite_header(ckpt, lambda h: {**h, "arch": {**h["arch"], "hidden": 10**12}})
         code = run(tiny_args("escape", tmp_path / "runs", epochs=1, **{"from_checkpoint": ckpt}))
         assert code == 2
-        assert "do not match" in capsys.readouterr().err
+        assert "arch needs" in capsys.readouterr().err
+
+    def test_unknown_arch_kind_exits_2(self, tmp_path, capsys):
+        ckpt = save_checkpoint(checkpoint_of(build_mlp(12, 5, 3), TrainConfig(), "clean"),
+                               tmp_path / "model.ckpt")
+        rewrite_header(ckpt, lambda h: {**h, "arch": {**h["arch"], "kind": "resnet"}})
+        code = run(tiny_args("escape", tmp_path / "runs", epochs=1, **{"from_checkpoint": ckpt}))
+        assert code == 2
+        assert "unknown architecture kind: 'resnet'" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
     def test_sadpoint_on_empty_test_set_exits_1(self, tmp_path, capsys):
         write_mnist_fixture(tmp_path / "mnist", n_test=0)
@@ -348,8 +403,20 @@ class TestPipelineCommands:
         capsys.readouterr()
         assert run(["escape", "--dataset", "synth", "--train-subset", "60", "--test-subset", "20",
                     "--epochs", "1", "--out-dir", str(out), "--from-checkpoint", str(ckpt)]) == 2
-        assert "hidden width 16, expected 512" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config makes" in err and "'hidden': 16" in err and "'hidden': 512" in err
         assert [p.name for p in out.iterdir()] == [ckpt.parent.name]
+
+    # the synth set is 1x28x28 with 10 classes and tiny_args asks for an MLP of width 16
+    @pytest.mark.parametrize("model", [lambda: build_cnn(1, 28, 10), lambda: build_mlp(12, 16, 10),
+                                       lambda: build_mlp(784, 16, 3)],
+                             ids=["kind", "input-size", "class-count"])
+    def test_escape_with_other_arch_exits_2(self, tmp_path, capsys, model):
+        ckpt = save_checkpoint(checkpoint_of(model(), TrainConfig(), "sad"), tmp_path / "sad.ckpt")
+        code = run(tiny_args("escape", tmp_path / "runs", epochs=1, **{"from_checkpoint": ckpt}))
+        assert code == 2
+        assert "config makes" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
     def test_zero_epoch_escape_prints_run_dir(self, tmp_path, capsys):
         out = tmp_path / "runs"

@@ -76,6 +76,11 @@ class TestLoadIdx:
         with pytest.raises(ConsistencyError):
             load_idx(idx_pair[0], lab3)
 
+    def test_label_outside_class_count(self, tmp_path, idx_pair):
+        labels = write_idx_labels(tmp_path / "labs200", [3, 200])
+        with pytest.raises(FormatError, match="labs200: label 200 outside"):
+            load_idx(idx_pair[0], labels, class_count=10)
+
     def test_loader_deterministic(self, idx_pair):
         a = load_idx(*idx_pair)
         b = load_idx(*idx_pair)
@@ -109,6 +114,14 @@ class TestLoadCifar10:
         train, test = load_cifar10(tmp_path)
         np.testing.assert_array_equal(test.labels, [7])
         assert len(train) == 5
+
+    def test_label_outside_ten_classes(self, tmp_path):
+        base = write_cifar10_fixture(tmp_path)
+        raw = bytearray((base / "test_batch.bin").read_bytes())
+        raw[0] = 77
+        (base / "test_batch.bin").write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="test_batch.bin: label 77 outside"):
+            load_cifar10(base)
 
     def test_channel_major_layout(self, tmp_path):
         # red plane all 255, green/blue zero -> channel 0 is ones

@@ -75,13 +75,11 @@ class TestCheckpointFuzz:
         path = self.saved(tmp_path, model, "model.ckpt")
         header, payload = self.split(path.read_bytes())
         cases = []
-        # (container, key) for every top-level field, every arch key and every shape
+        # (container, key) for every top-level field and every arch key
         slots = [(None, key) for key in header]
         slots += [("arch", key) for key in header["arch"]]
-        slots += [("shapes", i) for i in range(len(header["shapes"]))]
         for parent, key in slots:
-            variants = [("delete", None)] if parent != "shapes" else []
-            variants += [(f"retype to {value!r}", value) for value in RETYPES]
+            variants = [("delete", None)] + [(f"retype to {value!r}", value) for value in RETYPES]
             for label, value in variants:
                 mutated = json.loads(json.dumps(header))
                 holder = mutated if parent is None else mutated[parent]

@@ -12,7 +12,7 @@ import pytest
 
 from sadnet import nn
 from sadnet import tensor as T
-from sadnet.errors import ShapeError, StateError, ValidationError
+from sadnet.errors import CheckpointError, ShapeError, StateError, ValidationError
 from sadnet.experiment import Checkpoint
 from sadnet.gradcheck import (analytic_gradients, gradcheck_suite, max_relative_error,
                               numerical_gradients, random_small_model)
@@ -74,10 +74,12 @@ class TestBuilders:
 
     def test_build_from_descriptor_round_trip(self):
         model = nn.build_mlp(12, 5, 3)
-        again = nn.build_from_descriptor(model.arch, model.shapes)
+        again = nn.build_from_descriptor(model.arch)
         assert [p.shape for p in again.parameters()] == [p.shape for p in model.parameters()]
-        with pytest.raises(ValidationError):
-            nn.build_from_descriptor({"kind": "resnet"}, [])
+        for arch in ({"kind": "resnet"},
+                     {"kind": "cnn", "input_channels": 1, "input_hw": 6, "class_count": 3}):
+            with pytest.raises(CheckpointError):
+                nn.build_from_descriptor(arch)
 
 
 class TestForward:
@@ -358,7 +360,7 @@ def _gradcheck_cnn():
 def _restored_cnn():
     model = nn.build_cnn(1, 8, 4)
     nn.init_xavier_uniform(model, np.random.default_rng(3))
-    cp = Checkpoint(model.arch, model.theta.copy(), list(model.shapes), 0, {}, "t")
+    cp = Checkpoint(model.arch, model.theta.copy(), {}, "t")
     return cp.to_model()
 
 
