@@ -1,6 +1,7 @@
 """Construct and analyze points of extreme overfitting in small neural nets."""
 
-from .data import LabeledDataset, batches, build_corrupted_train, corrupt_labels, load_cifar10, load_idx, subset
+from .data import (LabeledDataset, batches, build_corrupted_train, corrupt_labels, load_cifar10,
+                   load_idx, load_mnist, subset)
 from .experiment import (Checkpoint, RunRecord, TrainConfig, clean_gradient_norm,
                          construct_sad_point, distance_report, escape_run, evaluate,
                          load_checkpoint, new_model, save_checkpoint, train)

@@ -20,11 +20,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import load_cifar10, load_idx, subset
+from .data import load_cifar10, load_mnist, subset
 from .errors import SadnetError, ShapeError, ValidationError
 from .experiment import (TrainConfig, construct_sad_point, distance_report,
                          escape_run, load_checkpoint, new_model, train)
-from .fixtures import MNIST_NAMES, synth_images, write_cifar10_fixture, write_mnist_fixture
+from .fixtures import synth_images, write_cifar10_fixture, write_mnist_fixture
 from .gradcheck import REL_TOLERANCE, gradcheck_suite
 
 _SUBSET_STREAM = 808
@@ -146,15 +146,6 @@ def _check_out_dir(out_dir: str) -> None:
         raise ValidationError(f"out dir {out_dir}: {existing} is not a directory")
 
 
-def _find_idx_pair(data_dir: Path, images_name: str, labels_name: str):
-    for suffix in ("", ".gz"):
-        images = data_dir / (images_name + suffix)
-        labels = data_dir / (labels_name + suffix)
-        if images.exists() and labels.exists():
-            return images, labels
-    raise ValidationError(f"missing {images_name}[.gz] / {labels_name}[.gz] under {data_dir}")
-
-
 def _load_datasets(opts: dict):
     name = opts["dataset"]
     n_train = opts["train_subset"]
@@ -166,15 +157,7 @@ def _load_datasets(opts: dict):
     data_dir = Path(opts["data_dir"])
     if not data_dir.exists():
         raise ValidationError(f"data dir not found: {data_dir}")
-    if name in ("mnist", "fashion-mnist"):
-        train_ds = load_idx(*_find_idx_pair(data_dir, MNIST_NAMES["train_images"],
-                                            MNIST_NAMES["train_labels"]),
-                            name=f"{name}-train", class_count=10)
-        test_ds = load_idx(*_find_idx_pair(data_dir, MNIST_NAMES["test_images"],
-                                           MNIST_NAMES["test_labels"]),
-                           name=f"{name}-test", class_count=10)
-    else:
-        train_ds, test_ds = load_cifar10(data_dir)
+    train_ds, test_ds = load_cifar10(data_dir) if name == "cifar10" else load_mnist(data_dir, name)
     rng = np.random.default_rng((opts["data_seed"], _SUBSET_STREAM))
     if n_train:
         train_ds = subset(train_ds, n_train, rng)

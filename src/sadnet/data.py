@@ -27,6 +27,12 @@ IDX_LABEL_MAGIC = 2049
 CIFAR_RECORD_BYTES = 3073
 CIFAR_TRAIN_FILES = [f"data_batch_{i}.bin" for i in range(1, 6)]
 CIFAR_TEST_FILE = "test_batch.bin"
+MNIST_NAMES = {
+    "train_images": "train-images-idx3-ubyte",
+    "train_labels": "train-labels-idx1-ubyte",
+    "test_images": "t10k-images-idx3-ubyte",
+    "test_labels": "t10k-labels-idx1-ubyte",
+}
 
 
 @dataclass
@@ -76,7 +82,14 @@ def _idx_header(raw: bytes, path, magic_want: int, ndim: int):
     return fields[1:], raw[head:]
 
 
-def load_idx(images_path, labels_path, name: str = "", class_count: int | None = None) -> LabeledDataset:
+def _check_labels(labels: np.ndarray, path, class_count: int) -> np.ndarray:
+    """Return the labels read from path; one outside [0, class_count) is a FormatError naming path."""
+    if labels.max(initial=0) >= class_count:
+        raise FormatError(f"{path}: label {labels.max()} outside [0, {class_count})")
+    return labels
+
+
+def load_idx(images_path, labels_path, class_count: int, name: str = "") -> LabeledDataset:
     """Parse an IDX image/label pair into a dataset shaped (N, 1, rows, cols)."""
     raw = _read_bytes(images_path)
     (n, rows, cols), body = _idx_header(raw, images_path, IDX_IMAGE_MAGIC, 3)
@@ -90,12 +103,24 @@ def load_idx(images_path, labels_path, name: str = "", class_count: int | None =
         raise FormatError(f"{labels_path}: expected {n_labels} label bytes, found {len(body)}")
     if n_labels != n:
         raise ConsistencyError(f"{n} images but {n_labels} labels")
-    labels = np.frombuffer(body, dtype=np.uint8).astype(np.int64)
-    if class_count is not None and labels.max(initial=0) >= class_count:
-        raise FormatError(f"{labels_path}: label {labels.max()} outside [0, {class_count})")
+    labels = _check_labels(np.frombuffer(body, dtype=np.uint8), labels_path, class_count)
+    return LabeledDataset(images, labels, class_count, name or Path(images_path).stem)
 
-    k = class_count if class_count is not None else int(labels.max()) + 1 if n else 1
-    return LabeledDataset(images, labels, k, name or Path(images_path).stem)
+
+def load_mnist(dir_path, name: str) -> tuple[LabeledDataset, LabeledDataset]:
+    """Load the MNIST_NAMES train and test pairs from dir_path, each plain or gzipped,
+    as the 10-class sets <name>-train and <name>-test."""
+    base = Path(dir_path)
+
+    def load_split(split):
+        images, labels = MNIST_NAMES[f"{split}_images"], MNIST_NAMES[f"{split}_labels"]
+        for suffix in ("", ".gz"):
+            pair = base / (images + suffix), base / (labels + suffix)
+            if pair[0].exists() and pair[1].exists():
+                return load_idx(*pair, class_count=10, name=f"{name}-{split}")
+        raise ValidationError(f"missing {images}[.gz] / {labels}[.gz] under {base}")
+
+    return load_split("train"), load_split("test")
 
 
 def _load_cifar_file(path):
@@ -103,11 +128,8 @@ def _load_cifar_file(path):
     if len(raw) == 0 or len(raw) % CIFAR_RECORD_BYTES:
         raise FormatError(f"{path}: length {len(raw)} is not a multiple of {CIFAR_RECORD_BYTES}")
     records = np.frombuffer(raw, dtype=np.uint8).reshape(-1, CIFAR_RECORD_BYTES)
-    labels = records[:, 0].astype(np.int64)
-    if labels.max() >= 10:
-        raise FormatError(f"{path}: label {labels.max()} outside [0, 10)")
     images = records[:, 1:].reshape(-1, 3, 32, 32) / 255.0
-    return images, labels
+    return images, _check_labels(records[:, 0], path, 10)
 
 
 def load_cifar10(dir_path) -> tuple[LabeledDataset, LabeledDataset]:
@@ -115,13 +137,9 @@ def load_cifar10(dir_path) -> tuple[LabeledDataset, LabeledDataset]:
     base = Path(dir_path)
     if not (base / CIFAR_TEST_FILE).exists() and (base / "cifar-10-batches-bin" / CIFAR_TEST_FILE).exists():
         base = base / "cifar-10-batches-bin"
-    parts = [_load_cifar_file(base / fname) for fname in CIFAR_TRAIN_FILES]
-    train_images = np.concatenate([p[0] for p in parts])
-    train_labels = np.concatenate([p[1] for p in parts])
-    test_images, test_labels = _load_cifar_file(base / CIFAR_TEST_FILE)
-    train = LabeledDataset(train_images, train_labels, 10, "cifar10-train")
-    test = LabeledDataset(test_images, test_labels, 10, "cifar10-test")
-    return train, test
+    images, labels = zip(*(_load_cifar_file(base / fname) for fname in CIFAR_TRAIN_FILES))
+    train = LabeledDataset(np.concatenate(images), np.concatenate(labels), 10, "cifar10-train")
+    return train, LabeledDataset(*_load_cifar_file(base / CIFAR_TEST_FILE), 10, "cifar10-test")
 
 
 def corrupt_labels(ds: LabeledDataset, rng: np.random.Generator) -> LabeledDataset:

@@ -142,11 +142,14 @@ class RunRecord:
         return self._jsonl(drop=("elapsed_sec",)).encode()
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(f.name for f in fields(EpochRow))
-        writer.writerows(astuple(row) for row in self.rows)
-        return buf.getvalue()
+        return _csv([f.name for f in fields(EpochRow)], map(astuple, self.rows))
+
+
+def _csv(header: list[str], rows) -> str:
+    """A header line and rows, in the csv module's default dialect."""
+    buf = io.StringIO()
+    csv.writer(buf).writerows([header, *rows])
+    return buf.getvalue()
 
 
 @dataclass
@@ -158,6 +161,11 @@ class Checkpoint:
     config: dict
     tag: str
     flags: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        need = _param_count(self.arch)
+        if self.theta.size != need:
+            raise CheckpointError(f"theta holds {self.theta.size} values, arch needs {need}")
 
     @property
     def params(self) -> list[np.ndarray]:
@@ -172,6 +180,10 @@ class Checkpoint:
 
 def _param_shapes(arch: dict) -> list[tuple]:
     return [s for layer in nn.layers_of(arch)[0] for s in layer.param_shapes]
+
+
+def _param_count(arch: dict) -> int:
+    return sum(math.prod(s) for s in _param_shapes(arch))
 
 
 def _canon_json(obj) -> str:
@@ -343,24 +355,18 @@ class DistanceReport:
 
     def write(self, out_dir) -> Path:
         out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        with (out / "distance_summary.csv").open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["index", "tag", "distance", "final_norm"])
-            for i, e in enumerate(self.entries):
-                writer.writerow([i, e["tag"], e["distance"], e["final_norm"]])
-        with (out / "distance_cohorts.csv").open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["tag", "mean_distance", "std_distance", "runs"])
-            for tag, stats in sorted(self.cohorts.items()):
-                writer.writerow([tag, stats["mean"], stats["std"], stats["n"]])
+        tables = {
+            "distance_summary.csv": (["index", "tag", "distance", "final_norm"], [
+                (i, e["tag"], e["distance"], e["final_norm"]) for i, e in enumerate(self.entries)]),
+            "distance_cohorts.csv": (["tag", "mean_distance", "std_distance", "runs"], [
+                (tag, s["mean"], s["std"], s["n"]) for tag, s in sorted(self.cohorts.items())]),
+        }
         for i, e in enumerate(self.entries):
-            with (out / f"weights_hist_{i}_{e['tag']}.csv").open("w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["bin_left", "bin_right", "count"])
-                edges, counts = e["hist_edges"], e["hist_counts"]
-                for j in range(len(counts)):
-                    writer.writerow([edges[j], edges[j + 1], int(counts[j])])
+            edges = e["hist_edges"]
+            rows = zip(edges[:-1], edges[1:], map(int, e["hist_counts"]))
+            tables[f"weights_hist_{i}_{e['tag']}.csv"] = (["bin_left", "bin_right", "count"], rows)
+        for name, (header, rows) in tables.items():
+            _write_atomic(out / name, _csv(header, rows).encode())
         return out
 
 
@@ -403,7 +409,6 @@ def save_checkpoint(cp: Checkpoint, path) -> Path:
     }
     header_bytes = _canon_json(header).encode()
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     _write_atomic(path, CHECKPOINT_MAGIC, struct.pack(">Q", len(header_bytes)),
                   header_bytes, payload)
     return path
@@ -411,7 +416,8 @@ def save_checkpoint(cp: Checkpoint, path) -> Path:
 
 def _write_atomic(path: Path, *chunks: bytes) -> None:
     """Write chunks to a sibling temporary file, then rename it over path,
-    so that path holds either its old content or all of the new."""
+    so that path holds either its old content or all of the new. Creates path's directory."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
         with tmp.open("wb") as fh:
@@ -464,7 +470,7 @@ def load_checkpoint(path) -> Checkpoint:
     if hashlib.sha256(payload).hexdigest() != header["checksum"]:
         raise FormatError(f"{path}: payload checksum mismatch")
     # the arch's layers must hold the payload exactly, checked before theta is allocated
-    need = sum(math.prod(s) for s in _param_shapes(header["arch"])) * 8
+    need = _param_count(header["arch"]) * 8
     if len(payload) != need:
         raise FormatError(f"{path}: payload holds {len(payload)} bytes, arch needs {need}")
     theta = np.frombuffer(payload, dtype="<f8").astype(np.float64)
@@ -476,7 +482,6 @@ def persist_run(out_dir, record: RunRecord, checkpoints: dict[str, Checkpoint]) 
     """Write metrics.jsonl/metrics.csv and the given checkpoints under
     out_dir/<run_id>/."""
     run_dir = Path(out_dir) / record.run_id
-    run_dir.mkdir(parents=True, exist_ok=True)
     _write_atomic(run_dir / "metrics.jsonl", record.to_jsonl().encode())
     _write_atomic(run_dir / "metrics.csv", record.to_csv().encode())
     for name, cp in checkpoints.items():

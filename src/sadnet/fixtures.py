@@ -19,19 +19,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import LabeledDataset
+from .data import (CIFAR_RECORD_BYTES, CIFAR_TEST_FILE, CIFAR_TRAIN_FILES, IDX_IMAGE_MAGIC,
+                   IDX_LABEL_MAGIC, MNIST_NAMES, LabeledDataset)
 
 SYNTH_CLASSES = 10
 SYNTH_HW = 28
 SYNTH_NOISE = 0.25
 SYNTH_OFFSET = 0.25
-
-MNIST_NAMES = {
-    "train_images": "train-images-idx3-ubyte",
-    "train_labels": "train-labels-idx1-ubyte",
-    "test_images": "t10k-images-idx3-ubyte",
-    "test_labels": "t10k-labels-idx1-ubyte",
-}
 
 
 def _class_prototypes(rng: np.random.Generator, k: int, hw: int) -> np.ndarray:
@@ -100,13 +94,13 @@ def _write(path: Path, payload: bytes, compress: bool) -> Path:
 def write_idx_images(path, images_u8: np.ndarray, compress: bool = False) -> Path:
     """Write (N, rows, cols) uint8 images as an IDX file."""
     n, rows, cols = images_u8.shape
-    payload = struct.pack(">IIII", 2051, n, rows, cols) + images_u8.astype(np.uint8).tobytes()
+    payload = struct.pack(">IIII", IDX_IMAGE_MAGIC, n, rows, cols) + images_u8.astype(np.uint8).tobytes()
     return _write(Path(path), payload, compress)
 
 
 def write_idx_labels(path, labels, compress: bool = False) -> Path:
     labels = np.asarray(labels, dtype=np.uint8)
-    payload = struct.pack(">II", 2049, len(labels)) + labels.tobytes()
+    payload = struct.pack(">II", IDX_LABEL_MAGIC, len(labels)) + labels.tobytes()
     return _write(Path(path), payload, compress)
 
 
@@ -127,17 +121,17 @@ def write_mnist_fixture(dir_path, n_train: int = 64, n_test: int = 16,
 
 def write_cifar10_fixture(dir_path, n_per_batch: int = 4, n_test: int = 4,
                           seed: int = 0) -> Path:
-    """Write tiny data_batch_1..5.bin and test_batch.bin files."""
+    """Write tiny CIFAR-10 files: the five train batches and the test batch."""
     base = Path(dir_path)
     base.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng((seed, 707))
 
     def record_block(n):
         labels = rng.integers(0, 10, size=(n, 1), dtype=np.uint8)
-        pixels = rng.integers(0, 256, size=(n, 3072), dtype=np.uint8)
+        pixels = rng.integers(0, 256, size=(n, CIFAR_RECORD_BYTES - 1), dtype=np.uint8)
         return np.concatenate([labels, pixels], axis=1).tobytes()
 
-    for i in range(1, 6):
-        (base / f"data_batch_{i}.bin").write_bytes(record_block(n_per_batch))
-    (base / "test_batch.bin").write_bytes(record_block(n_test))
+    for fname in CIFAR_TRAIN_FILES:
+        (base / fname).write_bytes(record_block(n_per_batch))
+    (base / CIFAR_TEST_FILE).write_bytes(record_block(n_test))
     return base

@@ -190,9 +190,6 @@ class Model:
     def parameters(self) -> list[np.ndarray]:
         return [p for layer in self.layers for p in layer.params]
 
-    def gradients(self) -> list[np.ndarray]:
-        return [g for layer in self.layers for g in layer.grads]
-
 
 @dataclass
 class LossValue:

@@ -17,13 +17,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sadnet.data import (LabeledDataset, build_corrupted_train, corrupt_labels,
-                         load_idx, subset)
+from sadnet.data import (MNIST_NAMES, LabeledDataset, build_corrupted_train, corrupt_labels,
+                         load_mnist, subset)
 from sadnet.errors import FormatError
 from sadnet.experiment import (TrainConfig, checkpoint_of, clean_gradient_norm,
                                construct_sad_point, escape_run, evaluate,
                                load_checkpoint, new_model, save_checkpoint, train)
-from sadnet.fixtures import MNIST_NAMES, synth_blobs, synth_images
+from sadnet.fixtures import synth_blobs, synth_images
 from sadnet.gradcheck import gradcheck_suite
 from sadnet.nn import build_mlp, cross_entropy, init_xavier_uniform
 
@@ -68,16 +68,8 @@ def datasets():
     """(train, test, source_label) at 4000/1000."""
     base = _mnist_dir()
     if base is not None:
-        def pick(images_key, labels_key):
-            for suffix in ("", ".gz"):
-                images = base / (MNIST_NAMES[images_key] + suffix)
-                labels = base / (MNIST_NAMES[labels_key] + suffix)
-                if images.exists() and labels.exists():
-                    return images, labels
-            raise FileNotFoundError(images_key)
         rng = np.random.default_rng((DATA_SEED, 808))
-        full_train = load_idx(*pick("train_images", "train_labels"), class_count=10)
-        full_test = load_idx(*pick("test_images", "test_labels"), class_count=10)
+        full_train, full_test = load_mnist(base, "mnist")
         train_ds = subset(full_train, TRAIN_N, rng)
         test_ds = subset(full_test, TEST_N, rng)
         label = "mnist"

@@ -148,10 +148,10 @@ class TestFixturesCommand:
         code = run(["fixtures", "--out-dir", str(tmp_path)])
         assert code == 0
         train = load_idx(tmp_path / "mnist" / "train-images-idx3-ubyte",
-                         tmp_path / "mnist" / "train-labels-idx1-ubyte")
+                         tmp_path / "mnist" / "train-labels-idx1-ubyte", class_count=10)
         assert len(train) == 64
         gz = load_idx(tmp_path / "mnist-gz" / "train-images-idx3-ubyte.gz",
-                      tmp_path / "mnist-gz" / "train-labels-idx1-ubyte.gz")
+                      tmp_path / "mnist-gz" / "train-labels-idx1-ubyte.gz", class_count=10)
         np.testing.assert_array_equal(gz.images, train.images)
         ctrain, ctest = load_cifar10(tmp_path / "cifar10")
         assert len(ctrain) == 20
@@ -261,6 +261,17 @@ class TestTrainCommand:
         assert code == 1
         assert "data_batch_2.bin" in capsys.readouterr().err
 
+    def test_missing_mnist_labels(self, tmp_path, capsys):
+        assert run(["fixtures", "--out-dir", str(tmp_path / "fx")]) == 0
+        mnist = tmp_path / "fx" / "mnist"
+        (mnist / "t10k-labels-idx1-ubyte").unlink()
+        code = run(["train", "--dataset", "mnist", "--data-dir", str(mnist), "--epochs", "1",
+                    "--out-dir", str(tmp_path / "runs")])
+        assert code == 1
+        assert (f"error: missing t10k-images-idx3-ubyte[.gz] / t10k-labels-idx1-ubyte[.gz] "
+                f"under {mnist}\n") in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
     # the last IDX label byte, or the first CIFAR record's label byte
     @pytest.mark.parametrize("dataset,name,offset,bad", [
         ("mnist", "t10k-labels-idx1-ubyte", -1, 200), ("cifar10", "test_batch.bin", 0, 77),
@@ -319,6 +330,7 @@ class TestPipelineCommands:
         stdout = capsys.readouterr().out
         assert "sad:" in stdout
         assert (tmp_path / "analysis" / "distance_summary.csv").exists()
+        assert list(tmp_path.rglob("*.tmp")) == []
 
     def test_corrupt_checkpoint_is_runtime_error(self, tmp_path, capsys):
         out = tmp_path / "runs"

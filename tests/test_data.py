@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from sadnet.data import (LabeledDataset, batches, build_corrupted_train,
-                         corrupt_labels, load_cifar10, load_idx, subset)
+                         corrupt_labels, load_cifar10, load_idx, load_mnist, subset)
 from sadnet.errors import ConsistencyError, FormatError, ValidationError
 from sadnet.fixtures import (synth_blobs, synth_images, write_cifar10_fixture,
                              write_idx_images, write_idx_labels, write_mnist_fixture)
@@ -25,7 +25,7 @@ def idx_pair(tmp_path):
 
 class TestLoadIdx:
     def test_scaling_endpoints(self, idx_pair):
-        ds = load_idx(*idx_pair)
+        ds = load_idx(*idx_pair, class_count=10)
         assert ds.images.shape == (2, 1, 4, 3)
         assert ds.images[0].max() == 0.0
         assert ds.images[1].min() == 1.0
@@ -38,8 +38,8 @@ class TestLoadIdx:
         raw_lab = write_idx_labels(tmp_path / "b", [1, 2])
         gz_img = write_idx_images(tmp_path / "c", images, compress=True)
         gz_lab = write_idx_labels(tmp_path / "d", [1, 2], compress=True)
-        plain = load_idx(raw_img, raw_lab)
-        zipped = load_idx(gz_img, gz_lab)
+        plain = load_idx(raw_img, raw_lab, class_count=10)
+        zipped = load_idx(gz_img, gz_lab, class_count=10)
         np.testing.assert_array_equal(plain.images, zipped.images)
         np.testing.assert_array_equal(plain.labels, zipped.labels)
 
@@ -52,29 +52,29 @@ class TestLoadIdx:
         bad = tmp_path / "bad.gz"
         bad.write_bytes(mangle(gzip.compress(idx_pair[0].read_bytes())))
         with pytest.raises(FormatError, match="gzip"):
-            load_idx(bad, idx_pair[1])
+            load_idx(bad, idx_pair[1], class_count=10)
 
     def test_missing_file(self, tmp_path, idx_pair):
         with pytest.raises(ValidationError, match="absent"):
-            load_idx(tmp_path / "absent", idx_pair[1])
+            load_idx(tmp_path / "absent", idx_pair[1], class_count=10)
 
     def test_wrong_magic(self, tmp_path, idx_pair):
         bad = tmp_path / "bad"
         bad.write_bytes(b"\x00\x00\x08\x05" + b"\x00" * 32)
         with pytest.raises(FormatError, match="magic"):
-            load_idx(bad, idx_pair[1])
+            load_idx(bad, idx_pair[1], class_count=10)
 
     def test_truncated_file(self, tmp_path, idx_pair):
         good = idx_pair[0].read_bytes()
         bad = tmp_path / "trunc"
         bad.write_bytes(good[:-5])
         with pytest.raises(FormatError):
-            load_idx(bad, idx_pair[1])
+            load_idx(bad, idx_pair[1], class_count=10)
 
     def test_count_mismatch(self, tmp_path, idx_pair):
         lab3 = write_idx_labels(tmp_path / "three", [1, 2, 3])
         with pytest.raises(ConsistencyError):
-            load_idx(idx_pair[0], lab3)
+            load_idx(idx_pair[0], lab3, class_count=10)
 
     def test_label_outside_class_count(self, tmp_path, idx_pair):
         labels = write_idx_labels(tmp_path / "labs200", [3, 200])
@@ -82,18 +82,27 @@ class TestLoadIdx:
             load_idx(idx_pair[0], labels, class_count=10)
 
     def test_loader_deterministic(self, idx_pair):
-        a = load_idx(*idx_pair)
-        b = load_idx(*idx_pair)
+        a = load_idx(*idx_pair, class_count=10)
+        b = load_idx(*idx_pair, class_count=10)
         np.testing.assert_array_equal(a.images, b.images)
         np.testing.assert_array_equal(a.labels, b.labels)
 
     def test_mnist_fixture_names(self, tmp_path):
         paths = write_mnist_fixture(tmp_path, n_train=8, n_test=4)
-        train = load_idx(paths["train_images"], paths["train_labels"])
-        test = load_idx(paths["test_images"], paths["test_labels"])
+        train = load_idx(paths["train_images"], paths["train_labels"], class_count=10)
+        test = load_idx(paths["test_images"], paths["test_labels"], class_count=10)
         assert len(train) == 8
         assert len(test) == 4
         assert train.images.shape[1:] == (1, 28, 28)
+
+    @pytest.mark.parametrize("compress", [False, True], ids=["plain", "gz"])
+    def test_load_mnist_equals_load_idx(self, tmp_path, compress):
+        paths = write_mnist_fixture(tmp_path, n_train=8, n_test=4, compress=compress)
+        for split, ds in zip(("train", "test"), load_mnist(tmp_path, "fashion-mnist")):
+            want = load_idx(paths[f"{split}_images"], paths[f"{split}_labels"], class_count=10)
+            np.testing.assert_array_equal(ds.images, want.images)
+            np.testing.assert_array_equal(ds.labels, want.labels)
+            assert (ds.class_count, ds.name) == (10, f"fashion-mnist-{split}")
 
 
 class TestLoadCifar10:

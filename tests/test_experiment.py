@@ -527,6 +527,16 @@ class TestCheckpointIO:
         with pytest.raises(FormatError, match="arch needs"):
             load_checkpoint(path)
 
+    # a Checkpoint built in memory has no file to name, so it refuses the mismatch itself
+    @pytest.mark.parametrize("use", [
+        lambda cp, ds: cp.to_model(),
+        lambda cp, ds: escape_run(cp, ds, ds, TrainConfig(hidden=3)),
+    ], ids=["to_model", "escape_run"])
+    def test_theta_not_fitting_arch(self, use):
+        ds = LabeledDataset(np.zeros((2, 1, 1, 4)), np.array([0, 1]), 2)
+        with pytest.raises(CheckpointError, match="theta holds 5 values, arch needs 23"):
+            use(Checkpoint(build_mlp(4, 3, 2).arch, np.zeros(5), {}, "sad"), ds)
+
     def test_header_with_shapes_and_seed_loads(self, blob_pair, tmp_path):
         # files written before the header dropped its shapes and seed still load
         train_ds, test_ds = blob_pair

@@ -115,11 +115,8 @@ class TestIdxFuzz:
                 write_idx_labels(tmp_path / "labels", [0, 3, 9, 1, 2]))
 
     @staticmethod
-    def load_both_ways(images, labels):
-        def load():
-            load_idx(images, labels)
-            load_idx(images, labels, class_count=10)
-        return load
+    def loader(images, labels):
+        return lambda: load_idx(images, labels, class_count=10)
 
     def test_image_file(self, pair, tmp_path):
         images, labels = pair
@@ -140,7 +137,7 @@ class TestIdxFuzz:
         zipped = gzip.compress(raw, mtime=0)
         cases += [(f"gzip {label}", write_case(images, data))
                   for label, data in byte_mutations(zipped, rng, len(zipped), flips=100)]
-        found = escapes(self.load_both_ways(images, labels), cases)
+        found = escapes(self.loader(images, labels), cases)
         assert found == []
 
     def test_label_file(self, pair):
@@ -156,7 +153,7 @@ class TestIdxFuzz:
                 labels, struct.pack(">II", 2049, count) + raw[8:])))
         for bad in (10, 200, 255):
             cases.append((f"label {bad}", write_case(labels, raw[:-1] + bytes([bad]))))
-        found = escapes(self.load_both_ways(images, labels), cases)
+        found = escapes(self.loader(images, labels), cases)
         assert found == []
 
 

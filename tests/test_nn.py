@@ -172,8 +172,7 @@ class TestBackward:
         nn.init_xavier_uniform(model, rng)
         model.forward(rng.normal(size=(2, 4)))
         model.backward(np.zeros((2, 2)))
-        for g in model.gradients():
-            np.testing.assert_array_equal(g, 0.0)
+        np.testing.assert_array_equal(model.grad, 0.0)
 
     def test_backward_before_forward_raises(self):
         model = nn.build_mlp(4, 3, 2)
@@ -210,8 +209,9 @@ class TestBackward:
         y = rng.integers(0, 3, size=16)
         before = nn.cross_entropy(model.forward(x), y)
         model.backward(before.logit_gradient)
-        for p, g in zip(model.parameters(), model.gradients()):
-            p -= 0.05 * g
+        for layer in model.layers:
+            for p, g in zip(layer.params, layer.grads):
+                p -= 0.05 * g
         after = nn.cross_entropy(model.forward(x), y)
         assert after.mean_loss < before.mean_loss
 
