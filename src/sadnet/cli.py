@@ -5,10 +5,10 @@ escape (restart from a checkpoint on clean data), analyze (distances and
 weight histograms over saved runs), gradcheck (finite-difference suite),
 fixtures (tiny synthetic data files for tests).
 
-Options resolve as: explicit flag > config file (key=value lines) >
-built-in default. All randomness flows from --seed; --data-seed pins the
-dataset draw/subset so different run seeds train on identical data.
-Exit codes: 0 success, 1 validation error, 2 runtime/format error.
+Options resolve as: explicit flag > config file (key=value lines, each
+read as the flag --key=value) > default. All randomness flows from --seed;
+--data-seed pins the dataset draw/subset so different run seeds train on
+identical data. Exit codes: 0 success, 1 validation error, 2 runtime/format error.
 """
 
 from __future__ import annotations
@@ -29,31 +29,29 @@ from .gradcheck import REL_TOLERANCE, gradcheck_suite
 
 _SUBSET_STREAM = 808
 
-# name -> (type, default, choices); each name is a config-file key and, with
-# dashes, a flag. A None default means "required by some subcommands".
+# name -> (type, choices); each name is a config-file key and, with dashes, a
+# flag. An option neither given nor defaulted below is left to TrainConfig.
 _OPTIONS = {
-    "dataset": (str, "synth", ("mnist", "fashion-mnist", "cifar10", "synth")),
-    "data_dir": (str, None, None),
-    "model": (str, "mlp", ("mlp", "cnn")),
-    "optimizer": (str, "adam", ("adam", "sgd")),
-    "lr": (float, 0.001, None),
-    "batch_size": (int, 128, None),
-    "epochs": (int, None, None),
-    "l2": (float, 0.0, None),
-    "seed": (int, 0, None),
-    "data_seed": (int, 0, None),
-    "hidden": (int, 512, None),
-    "train_subset": (int, None, None),
-    "test_subset": (int, None, None),
-    "stop_at_train_acc": (float, None, None),
-    "out_dir": (str, "runs", None),
+    "dataset": (str, ("mnist", "fashion-mnist", "cifar10", "synth")),
+    "data_dir": (str, None),
+    "model": (str, ("mlp", "cnn")),
+    "optimizer": (str, ("adam", "sgd")),
+    "lr": (float, None),
+    "batch_size": (int, None),
+    "epochs": (int, None),
+    "l2": (float, None),
+    "seed": (int, None),
+    "data_seed": (int, None),
+    "hidden": (int, None),
+    "train_subset": (int, None),
+    "test_subset": (int, None),
+    "stop_at_train_acc": (float, None),
+    "out_dir": (str, None),
 }
 
 # option names that differ from their TrainConfig field; data_dir and out_dir
 # say where data and runs live and are not part of the config
 _CONFIG_FIELDS = {"model": "model_kind", "l2": "l2_lambda"}
-
-_EPOCH_DEFAULTS = {"train": 30, "sadpoint": 200, "escape": 50}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -61,18 +59,20 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-def _add_common(parser: _Parser):
+def _add_training(parser: _Parser, epochs: int):
     parser.add_argument("--config", help="key=value file; explicit flags win")
-    for name, (typ, _, choices) in _OPTIONS.items():
+    for name, (typ, choices) in _OPTIONS.items():
         parser.add_argument("--" + name.replace("_", "-"), dest=name, type=typ, choices=choices)
     parser.add_argument("--progress", action="store_true")
+    parser.set_defaults(dataset="synth", out_dir="runs", data_dir=os.environ.get("SADNET_DATA_DIR"),
+                        epochs=epochs)
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="sadnet", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in ("train", "sadpoint", "escape"):
-        _add_common(sub.add_parser(name))
+    for name, epochs in (("train", 30), ("sadpoint", 200), ("escape", 50)):
+        _add_training(sub.add_parser(name), epochs)
     escape = sub.choices["escape"]
     escape.add_argument("--from-checkpoint", dest="from_checkpoint")
 
@@ -90,14 +90,17 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _read_config_file(path: str) -> dict:
-    values = {}
+def _read_config_file(path: str) -> list[str]:
+    """The file's key=value lines as --key=value flags, in file order; the = form
+    keeps a value such as -1 from being read as a flag."""
+    flags = []
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ValidationError(f"cannot read config file {path}: {exc.strerror}") from exc
     except UnicodeDecodeError:
         raise ValidationError(f"config file {path} is not UTF-8 text") from None
+    unknown = set()
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -105,38 +108,13 @@ def _read_config_file(path: str) -> dict:
         if "=" not in line:
             raise ValidationError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
-        values[key.strip().replace("-", "_")] = value.strip()
-    return values
-
-
-def _resolve_options(ns) -> dict:
-    """Merge flag > config file > default for the training subcommands."""
-    from_file = _read_config_file(ns.config) if getattr(ns, "config", None) else {}
-    unknown = set(from_file) - set(_OPTIONS)
+        key = key.strip().replace("-", "_")
+        if key not in _OPTIONS:
+            unknown.add(key)
+        flags.append(f"--{key.replace('_', '-')}={value.strip()}")
     if unknown:
         raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-    resolved = {}
-    for name, (typ, default, choices) in _OPTIONS.items():
-        flag_value = getattr(ns, name, None)
-        if flag_value is not None:
-            resolved[name] = flag_value
-        elif name in from_file:
-            try:
-                resolved[name] = typ(from_file[name])
-            except ValueError:
-                raise ValidationError(
-                    f"config key {name}: {from_file[name]!r} is not a {typ.__name__}") from None
-            if choices is not None and resolved[name] not in choices:
-                raise ValidationError(
-                    f"config key {name}: {from_file[name]!r} is not one of {', '.join(choices)}")
-        else:
-            resolved[name] = default
-    if resolved["data_dir"] is None:
-        resolved["data_dir"] = os.environ.get("SADNET_DATA_DIR")
-    if resolved["epochs"] is None:
-        resolved["epochs"] = _EPOCH_DEFAULTS[ns.subcommand]
-    _check_out_dir(resolved["out_dir"])
-    return resolved
+    return flags
 
 
 def _check_out_dir(out_dir: str) -> None:
@@ -146,29 +124,29 @@ def _check_out_dir(out_dir: str) -> None:
         raise ValidationError(f"out dir {out_dir}: {existing} is not a directory")
 
 
-def _load_datasets(opts: dict):
-    name = opts["dataset"]
-    n_train = opts["train_subset"]
-    n_test = opts["test_subset"]
-    if name == "synth":
-        return synth_images(n_train or 4000, n_test or 1000, data_seed=opts["data_seed"])
-    if opts["data_dir"] is None:
+def _config_from(ns) -> TrainConfig:
+    """The run's config from the options given; TrainConfig supplies every other value."""
+    return TrainConfig(**{_CONFIG_FIELDS.get(name, name): getattr(ns, name) for name in _OPTIONS
+                          if name not in ("data_dir", "out_dir") and getattr(ns, name) is not None})
+
+
+def _load_datasets(cfg: TrainConfig, data_dir: str | None):
+    n_train, n_test = cfg.train_subset, cfg.test_subset
+    if cfg.dataset == "synth":
+        return synth_images(n_train or 4000, n_test or 1000, data_seed=cfg.data_seed)
+    if data_dir is None:
         raise ValidationError("--data-dir (or SADNET_DATA_DIR) is required for real datasets")
-    data_dir = Path(opts["data_dir"])
+    data_dir = Path(data_dir)
     if not data_dir.exists():
         raise ValidationError(f"data dir not found: {data_dir}")
-    train_ds, test_ds = load_cifar10(data_dir) if name == "cifar10" else load_mnist(data_dir, name)
-    rng = np.random.default_rng((opts["data_seed"], _SUBSET_STREAM))
+    train_ds, test_ds = (load_cifar10(data_dir) if cfg.dataset == "cifar10"
+                         else load_mnist(data_dir, cfg.dataset))
+    rng = np.random.default_rng((cfg.data_seed, _SUBSET_STREAM))
     if n_train:
         train_ds = subset(train_ds, n_train, rng)
     if n_test:
         test_ds = subset(test_ds, n_test, rng)
     return train_ds, test_ds
-
-
-def _config_from(opts: dict) -> TrainConfig:
-    return TrainConfig(**{_CONFIG_FIELDS.get(name, name): value
-                          for name, value in opts.items() if name not in ("data_dir", "out_dir")})
 
 
 def _progress_printer(enabled: bool):
@@ -193,25 +171,25 @@ def _summarize(record, tag: str):
 
 
 def _cmd_train(ns) -> int:
-    opts = _resolve_options(ns)
-    if opts["epochs"] < 1:
+    _check_out_dir(ns.out_dir)
+    if ns.epochs < 1:
         raise ValidationError("train requires --epochs >= 1")
-    cfg = _config_from(opts)
-    train_ds, test_ds = _load_datasets(opts)
+    cfg = _config_from(ns)
+    train_ds, test_ds = _load_datasets(cfg, ns.data_dir)
     model = new_model(cfg, train_ds)
-    _, record = train(model, train_ds, train_ds, test_ds, cfg, out_dir=opts["out_dir"],
+    _, record = train(model, train_ds, train_ds, test_ds, cfg, out_dir=ns.out_dir,
                       tag="clean", on_epoch=_progress_printer(ns.progress))
     _summarize(record, "clean")
     return 0
 
 
 def _cmd_sadpoint(ns) -> int:
-    opts = _resolve_options(ns)
-    if opts["epochs"] < 1:
+    _check_out_dir(ns.out_dir)
+    if ns.epochs < 1:
         raise ValidationError("sadpoint requires --epochs >= 1")
-    cfg = _config_from(opts)
-    train_ds, test_ds = _load_datasets(opts)
-    cp, record = construct_sad_point(train_ds, test_ds, cfg, out_dir=opts["out_dir"],
+    cfg = _config_from(ns)
+    train_ds, test_ds = _load_datasets(cfg, ns.data_dir)
+    cp, record = construct_sad_point(train_ds, test_ds, cfg, out_dir=ns.out_dir,
                                      on_epoch=_progress_printer(ns.progress))
     _summarize(record, "sad")
     print(f"saturated: {cp.flags.get('saturated')}")
@@ -219,13 +197,13 @@ def _cmd_sadpoint(ns) -> int:
 
 
 def _cmd_escape(ns) -> int:
-    opts = _resolve_options(ns)
+    _check_out_dir(ns.out_dir)
     if not ns.from_checkpoint:
         raise ValidationError("escape requires --from-checkpoint")
-    cfg = _config_from(opts)
+    cfg = _config_from(ns)
     cp = load_checkpoint(ns.from_checkpoint)
-    train_ds, test_ds = _load_datasets(opts)
-    _, record = escape_run(cp, train_ds, test_ds, cfg, out_dir=opts["out_dir"],
+    train_ds, test_ds = _load_datasets(cfg, ns.data_dir)
+    _, record = escape_run(cp, train_ds, test_ds, cfg, out_dir=ns.out_dir,
                            on_epoch=_progress_printer(ns.progress))
     _summarize(record, "escaped")
     return 0
@@ -290,6 +268,9 @@ def run(argv) -> int:
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)
+        if getattr(ns, "config", None):
+            # file lines go ahead of the command line's flags, and argparse keeps the last value
+            ns = parser.parse_args([ns.subcommand, *_read_config_file(ns.config), *argv[1:]])
         return _COMMANDS[ns.subcommand](ns)
     except (ValidationError, ShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

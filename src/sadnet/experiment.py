@@ -21,6 +21,7 @@ import io
 import json
 import math
 import os
+import re
 import struct
 import time
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
@@ -443,6 +444,9 @@ def _check_header(path, header) -> None:
             raise FormatError(f"{path}: header {key!r} is not a {kind.__name__}")
     if not isinstance(header.get("flags", {}), dict):
         raise FormatError(f"{path}: header 'flags' is not a dict")
+    # analyze names files after the tag, so it must not hold a path
+    if not re.fullmatch(r"[A-Za-z0-9_-]+", header["tag"]):
+        raise FormatError(f"{path}: header 'tag' {header['tag']!r} is not a plain name")
 
 
 def load_checkpoint(path) -> Checkpoint:

@@ -26,6 +26,7 @@ SYNTH_CLASSES = 10
 SYNTH_HW = 28
 SYNTH_NOISE = 0.25
 SYNTH_OFFSET = 0.25
+BLOB_SPREAD = 0.12
 
 
 def _class_prototypes(rng: np.random.Generator, k: int, hw: int) -> np.ndarray:
@@ -71,13 +72,12 @@ def synth_images(n_train: int, n_test: int, *,
     return draw(n_train, "train"), draw(n_test, "test")
 
 
-def synth_blobs(n: int, *, k: int = 2, dim: int = 32, seed: int = 0,
-                spread: float = 0.12, name: str = "blobs") -> LabeledDataset:
+def synth_blobs(n: int, *, k: int, dim: int, seed: int, name: str = "blobs") -> LabeledDataset:
     """Gaussian clusters as (n, 1, 1, dim) images; easy to memorize."""
     rng = np.random.default_rng((seed, 505))
     centers = rng.uniform(0.0, 1.0, size=(k, dim))
     labels = rng.integers(0, k, size=n)
-    images = np.clip(centers[labels] + rng.normal(0.0, spread, size=(n, dim)), 0.0, 1.0)
+    images = np.clip(centers[labels] + rng.normal(0.0, BLOB_SPREAD, size=(n, dim)), 0.0, 1.0)
     return LabeledDataset(images.reshape(n, 1, 1, dim), labels, k, name)
 
 

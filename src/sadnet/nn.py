@@ -105,7 +105,7 @@ class Conv2d(Layer):
 class MaxPool2d(Layer):
     kind = "maxpool"
 
-    def __init__(self, window: int = 2):
+    def __init__(self, window: int):
         super().__init__()
         self.window = window
 
@@ -251,8 +251,8 @@ def full_pass(model: Model, images: np.ndarray, labels: np.ndarray, *,
 
 def l2_penalty(model: Model, lam: float) -> float:
     """lam * sum of squared weight entries (biases excluded)."""
-    if lam < 0:
-        raise ValidationError(f"l2 lambda must be >= 0, got {lam}")
+    if not (math.isfinite(lam) and lam >= 0):
+        raise ValidationError(f"l2 lambda must be finite and >= 0, got {lam}")
     if lam == 0:
         return 0.0
     total = 0.0
@@ -265,8 +265,8 @@ def l2_penalty(model: Model, lam: float) -> float:
 
 def add_l2_gradients(model: Model, lam: float) -> None:
     """Add 2*lam*W to each weight gradient in place (biases untouched)."""
-    if lam < 0:
-        raise ValidationError(f"l2 lambda must be >= 0, got {lam}")
+    if not (math.isfinite(lam) and lam >= 0):
+        raise ValidationError(f"l2 lambda must be finite and >= 0, got {lam}")
     if lam == 0:
         return
     for layer in model.layers:

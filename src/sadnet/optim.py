@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,8 +39,8 @@ class OptimizerState:
     def __post_init__(self):
         if self.kind not in ("sgd", "adam"):
             raise ValidationError(f"optimizer kind must be 'sgd' or 'adam', got {self.kind!r}")
-        if self.lr <= 0:
-            raise ValidationError(f"learning rate must be positive, got {self.lr}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValidationError(f"learning rate must be positive and finite, got {self.lr}")
 
 
 def _require_grads(model: Model):

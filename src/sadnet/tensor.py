@@ -29,7 +29,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return a @ b
 
 
-def conv2d_batch(x: Tensor, kernels: Tensor, bias: Tensor, pad: int = 0) -> Tensor:
+def conv2d_batch(x: Tensor, kernels: Tensor, bias: Tensor, pad: int) -> Tensor:
     """Cross-correlate x (B, C, H, W) with kernels (O, C, kh, kw).
 
     Zero padding of `pad` pixels on each spatial edge; output is
@@ -113,7 +113,7 @@ def _patch_matrices(x: Tensor, ph: int, pw: int, kh: int, kw: int):
         yield n, cols
 
 
-def maxpool2d_batch(x: Tensor, window: int = 2):
+def maxpool2d_batch(x: Tensor, window: int):
     """Max over disjoint window x window tiles of x (B, C, H, W).
 
     Returns (pooled, idx) where idx holds the row-major position of the

@@ -1,5 +1,6 @@
 """End-to-end CLI tests on tiny synthetic datasets."""
 
+import dataclasses
 import json
 import struct
 from pathlib import Path
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from sadnet import experiment
-from sadnet.cli import run
+from sadnet.cli import _CONFIG_FIELDS, _OPTIONS, _config_from, build_parser, run
 from sadnet.data import load_cifar10, load_idx
 from sadnet.experiment import (CHECKPOINT_MAGIC, TrainConfig, checkpoint_of, load_checkpoint,
                                save_checkpoint)
@@ -108,10 +109,40 @@ class TestValidation:
         assert "seed must be >= 0" in err.splitlines()[0]
         assert list(tmp_path.iterdir()) == []
 
+    # a config line is read as its flag, so both get argparse's or TrainConfig's one check
+    @pytest.mark.parametrize("option,value", [("lr", "abc"), ("dataset", "imagenet"),
+                                              ("epochs", "2.5"), ("seed", "-1"), ("hidden", "0")])
+    def test_config_line_fails_like_its_flag(self, tmp_path, capsys, option, value):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"{option}={value}\n")
+        out = tmp_path / "runs"
+        results = []
+        for extra in (["--config", str(cfg_file)], [f"--{option}", value]):
+            code = run(["train", "--out-dir", str(out), *extra])
+            err = capsys.readouterr().err
+            results.append((code, next(l for l in err.splitlines() if l.startswith("error:"))))
+        assert results[0] == results[1]
+        assert results[0][0] == 1 and option in results[0][1]
+        assert not out.exists()
+
     def test_escape_requires_checkpoint(self, tmp_path, capsys):
         code = run(tiny_args("escape", tmp_path, epochs=1))
         assert code == 1
         assert "from-checkpoint" in capsys.readouterr().err
+
+
+class TestOptions:
+    # the CLI's own defaults are the epoch budget and the dataset; TrainConfig holds the rest
+    @pytest.mark.parametrize("subcommand,epochs", [("train", 30), ("sadpoint", 200), ("escape", 50)])
+    def test_unset_options_take_train_config_defaults(self, subcommand, epochs):
+        ns = build_parser().parse_args([subcommand])
+        assert _config_from(ns) == TrainConfig(epochs=epochs, dataset="synth")
+
+    # so a new setting needs a flag, and no flag holds a setting the config header misses
+    def test_one_option_per_train_config_field(self):
+        settings = [_CONFIG_FIELDS.get(name, name) for name in _OPTIONS
+                    if name not in ("data_dir", "out_dir")]
+        assert sorted(settings) == sorted(f.name for f in dataclasses.fields(TrainConfig))
 
 
 class TestOutDir:
@@ -429,6 +460,19 @@ class TestPipelineCommands:
         assert code == 2
         assert "config makes" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
+
+    # the header checksum covers only the payload, and analyze names files after the tag
+    def test_analyze_refuses_tag_holding_a_path(self, tmp_path, capsys):
+        out = tmp_path / "a" / "runs"
+        assert run(tiny_args("train", out, epochs=1)) == 0
+        rewrite_header(find_run_dir(out) / "clean.ckpt",
+                       lambda h: {**h, "tag": "x/../../../escaped_file"})
+        before = sorted(tmp_path.rglob("*"))
+        capsys.readouterr()
+        code = run(["analyze", "--runs-dir", str(out), "--out-dir", str(tmp_path / "a" / "analysis")])
+        assert code == 2
+        assert "clean.ckpt: header 'tag'" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_zero_epoch_escape_prints_run_dir(self, tmp_path, capsys):
         out = tmp_path / "runs"

@@ -517,6 +517,13 @@ class TestCheckpointIO:
         with pytest.raises(FormatError, match=key):
             load_checkpoint(path)
 
+    # analyze names its files after the tag, so a tag that is a path is refused
+    @pytest.mark.parametrize("tag", ["../x", "a/b", ""])
+    def test_tag_not_a_plain_name(self, blob_pair, tmp_path, tag):
+        path = self._rewrite_header(blob_pair, tmp_path, lambda h: {**h, "tag": tag})
+        with pytest.raises(FormatError, match=r"model\.ckpt: header 'tag'"):
+            load_checkpoint(path)
+
     # the checksum covers only the payload, so an arch whose layers do not hold
     # the payload, however large, must be refused before anything is allocated
     @pytest.mark.parametrize("hidden", [10**12, 6])

@@ -296,6 +296,11 @@ class TestL2:
             nn.l2_penalty(model, -1e-3)
         with pytest.raises(ValidationError):
             nn.add_l2_gradients(model, -1e-3)
+        for lam in (float("nan"), float("inf")):
+            with pytest.raises(ValidationError):
+                nn.l2_penalty(model, lam)
+            with pytest.raises(ValidationError):
+                nn.add_l2_gradients(model, lam)
 
 
 class TestXavier:

@@ -209,3 +209,6 @@ class TestAdam:
             OptimizerState(kind="adagrad", lr=0.1)
         with pytest.raises(ValidationError):
             OptimizerState(kind="adam", lr=0.0)
+        for kind, lr in (("sgd", float("nan")), ("adam", float("inf"))):
+            with pytest.raises(ValidationError):
+                OptimizerState(kind, lr)
