@@ -14,44 +14,22 @@ identical data. Exit codes: 0 success, 1 validation error, 2 runtime/format erro
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
+import typing
 from pathlib import Path
 
-import numpy as np
-
-from .data import load_cifar10, load_mnist, subset
 from .errors import SadnetError, ShapeError, ValidationError
-from .experiment import (TrainConfig, construct_sad_point, distance_report,
-                         escape_run, load_checkpoint, new_model, train)
-from .fixtures import synth_images, write_cifar10_fixture, write_mnist_fixture
+from .experiment import (TrainConfig, construct_sad_point, distance_report, escape_run,
+                         load_checkpoint, load_datasets, new_model, train)
+from .fixtures import write_cifar10_fixture, write_mnist_fixture
 from .gradcheck import REL_TOLERANCE, gradcheck_suite
 
-_SUBSET_STREAM = 808
-
-# name -> (type, choices); each name is a config-file key and, with dashes, a
-# flag. An option neither given nor defaulted below is left to TrainConfig.
-_OPTIONS = {
-    "dataset": (str, ("mnist", "fashion-mnist", "cifar10", "synth")),
-    "data_dir": (str, None),
-    "model": (str, ("mlp", "cnn")),
-    "optimizer": (str, ("adam", "sgd")),
-    "lr": (float, None),
-    "batch_size": (int, None),
-    "epochs": (int, None),
-    "l2": (float, None),
-    "seed": (int, None),
-    "data_seed": (int, None),
-    "hidden": (int, None),
-    "train_subset": (int, None),
-    "test_subset": (int, None),
-    "stop_at_train_acc": (float, None),
-    "out_dir": (str, None),
-}
-
-# option names that differ from their TrainConfig field; data_dir and out_dir
-# say where data and runs live and are not part of the config
-_CONFIG_FIELDS = {"model": "model_kind", "l2": "l2_lambda"}
+# TrainConfig fields whose flag, and config-file key, has another name
+_FLAG_NAMES = {"model_kind": "model", "l2_lambda": "l2"}
+# options that say where data and runs live, outside the config
+_PLACES = ("data_dir", "out_dir")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -59,11 +37,31 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
+def _flag_type(hint) -> type:
+    """int, float or str from a field's annotation, with X | None unwrapped. Any other type
+    is refused: argparse would read a bool flag's "False" as bool("False"), which is True."""
+    for typ in (int, float, str):
+        if hint in (typ, typ | None):
+            return typ
+    raise TypeError(f"a TrainConfig field needs an int, float or str flag, got {hint}")
+
+
+def _settings() -> list[tuple[str, str, type, tuple | None]]:
+    """(flag name, field name, type, choices) per TrainConfig field, in field order;
+    the flag name is also the config-file key."""
+    hints = typing.get_type_hints(TrainConfig)
+    return [(_FLAG_NAMES.get(f.name, f.name), f.name, _flag_type(hints[f.name]), f.metadata.get("choices"))
+            for f in dataclasses.fields(TrainConfig)]
+
+
 def _add_training(parser: _Parser, epochs: int):
     parser.add_argument("--config", help="key=value file; explicit flags win")
-    for name, (typ, choices) in _OPTIONS.items():
-        parser.add_argument("--" + name.replace("_", "-"), dest=name, type=typ, choices=choices)
+    for flag, _, typ, choices in _settings():
+        parser.add_argument("--" + flag.replace("_", "-"), dest=flag, type=typ, choices=choices)
+    for place in _PLACES:
+        parser.add_argument("--" + place.replace("_", "-"), dest=place)
     parser.add_argument("--progress", action="store_true")
+    # an option neither given nor defaulted here is left to TrainConfig
     parser.set_defaults(dataset="synth", out_dir="runs", data_dir=os.environ.get("SADNET_DATA_DIR"),
                         epochs=epochs)
 
@@ -74,7 +72,7 @@ def build_parser() -> _Parser:
     for name, epochs in (("train", 30), ("sadpoint", 200), ("escape", 50)):
         _add_training(sub.add_parser(name), epochs)
     escape = sub.choices["escape"]
-    escape.add_argument("--from-checkpoint", dest="from_checkpoint")
+    escape.add_argument("--from-checkpoint", dest="from_checkpoint", required=True)
 
     analyze = sub.add_parser("analyze")
     analyze.add_argument("--runs-dir", dest="runs_dir", required=True)
@@ -100,6 +98,7 @@ def _read_config_file(path: str) -> list[str]:
         raise ValidationError(f"cannot read config file {path}: {exc.strerror}") from exc
     except UnicodeDecodeError:
         raise ValidationError(f"config file {path} is not UTF-8 text") from None
+    keys = {flag for flag, *_ in _settings()}.union(_PLACES)
     unknown = set()
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
@@ -109,7 +108,7 @@ def _read_config_file(path: str) -> list[str]:
             raise ValidationError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
-        if key not in _OPTIONS:
+        if key not in keys:
             unknown.add(key)
         flags.append(f"--{key.replace('_', '-')}={value.strip()}")
     if unknown:
@@ -126,27 +125,8 @@ def _check_out_dir(out_dir: str) -> None:
 
 def _config_from(ns) -> TrainConfig:
     """The run's config from the options given; TrainConfig supplies every other value."""
-    return TrainConfig(**{_CONFIG_FIELDS.get(name, name): getattr(ns, name) for name in _OPTIONS
-                          if name not in ("data_dir", "out_dir") and getattr(ns, name) is not None})
-
-
-def _load_datasets(cfg: TrainConfig, data_dir: str | None):
-    n_train, n_test = cfg.train_subset, cfg.test_subset
-    if cfg.dataset == "synth":
-        return synth_images(n_train or 4000, n_test or 1000, data_seed=cfg.data_seed)
-    if data_dir is None:
-        raise ValidationError("--data-dir (or SADNET_DATA_DIR) is required for real datasets")
-    data_dir = Path(data_dir)
-    if not data_dir.exists():
-        raise ValidationError(f"data dir not found: {data_dir}")
-    train_ds, test_ds = (load_cifar10(data_dir) if cfg.dataset == "cifar10"
-                         else load_mnist(data_dir, cfg.dataset))
-    rng = np.random.default_rng((cfg.data_seed, _SUBSET_STREAM))
-    if n_train:
-        train_ds = subset(train_ds, n_train, rng)
-    if n_test:
-        test_ds = subset(test_ds, n_test, rng)
-    return train_ds, test_ds
+    given = {name: getattr(ns, flag) for flag, name, *_ in _settings()}
+    return TrainConfig(**{name: value for name, value in given.items() if value is not None})
 
 
 def _progress_printer(enabled: bool):
@@ -159,53 +139,36 @@ def _progress_printer(enabled: bool):
     return show
 
 
-def _summarize(record, tag: str):
+def _summarize(record):
     if record.rows:
         last = record.rows[-1]
-        print(f"{tag}: epochs {last.epoch} train_acc {last.train_acc:.4f} "
+        print(f"{record.tag}: epochs {last.epoch} train_acc {last.train_acc:.4f} "
               f"test_acc {last.test_acc:.4f} dist_from_init {last.dist_from_init:.3f}")
     else:
-        print(f"{tag}: no epochs run")
+        print(f"{record.tag}: no epochs run")
     if record.run_dir:
         print(f"run dir: {record.run_dir}")
 
 
-def _cmd_train(ns) -> int:
+def _cmd_run(ns) -> int:
+    """train, sadpoint or escape: one run of the config the options give, on its datasets."""
     _check_out_dir(ns.out_dir)
-    if ns.epochs < 1:
-        raise ValidationError("train requires --epochs >= 1")
+    if ns.subcommand != "escape" and ns.epochs < 1:
+        raise ValidationError(f"{ns.subcommand} requires --epochs >= 1")
     cfg = _config_from(ns)
-    train_ds, test_ds = _load_datasets(cfg, ns.data_dir)
-    model = new_model(cfg, train_ds)
-    _, record = train(model, train_ds, train_ds, test_ds, cfg, out_dir=ns.out_dir,
-                      tag="clean", on_epoch=_progress_printer(ns.progress))
-    _summarize(record, "clean")
-    return 0
-
-
-def _cmd_sadpoint(ns) -> int:
-    _check_out_dir(ns.out_dir)
-    if ns.epochs < 1:
-        raise ValidationError("sadpoint requires --epochs >= 1")
-    cfg = _config_from(ns)
-    train_ds, test_ds = _load_datasets(cfg, ns.data_dir)
-    cp, record = construct_sad_point(train_ds, test_ds, cfg, out_dir=ns.out_dir,
-                                     on_epoch=_progress_printer(ns.progress))
-    _summarize(record, "sad")
-    print(f"saturated: {cp.flags.get('saturated')}")
-    return 0
-
-
-def _cmd_escape(ns) -> int:
-    _check_out_dir(ns.out_dir)
-    if not ns.from_checkpoint:
-        raise ValidationError("escape requires --from-checkpoint")
-    cfg = _config_from(ns)
-    cp = load_checkpoint(ns.from_checkpoint)
-    train_ds, test_ds = _load_datasets(cfg, ns.data_dir)
-    _, record = escape_run(cp, train_ds, test_ds, cfg, out_dir=ns.out_dir,
-                           on_epoch=_progress_printer(ns.progress))
-    _summarize(record, "escaped")
+    sad = load_checkpoint(ns.from_checkpoint) if ns.subcommand == "escape" else None
+    train_ds, test_ds = load_datasets(cfg, ns.data_dir)
+    on_epoch = _progress_printer(ns.progress)
+    if sad is not None:
+        cp, record = escape_run(sad, train_ds, test_ds, cfg, out_dir=ns.out_dir, on_epoch=on_epoch)
+    elif ns.subcommand == "sadpoint":
+        cp, record = construct_sad_point(train_ds, test_ds, cfg, out_dir=ns.out_dir, on_epoch=on_epoch)
+    else:
+        cp, record = train(new_model(cfg, train_ds), train_ds, train_ds, test_ds, cfg,
+                           out_dir=ns.out_dir, on_epoch=on_epoch)
+    _summarize(record)
+    if ns.subcommand == "sadpoint":
+        print(f"saturated: {cp.flags.get('saturated')}")
     return 0
 
 
@@ -254,14 +217,8 @@ def _cmd_fixtures(ns) -> int:
     return 0
 
 
-_COMMANDS = {
-    "train": _cmd_train,
-    "sadpoint": _cmd_sadpoint,
-    "escape": _cmd_escape,
-    "analyze": _cmd_analyze,
-    "gradcheck": _cmd_gradcheck,
-    "fixtures": _cmd_fixtures,
-}
+_COMMANDS = {"train": _cmd_run, "sadpoint": _cmd_run, "escape": _cmd_run,
+             "analyze": _cmd_analyze, "gradcheck": _cmd_gradcheck, "fixtures": _cmd_fixtures}
 
 
 def run(argv) -> int:

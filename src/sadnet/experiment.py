@@ -30,9 +30,11 @@ from pathlib import Path
 import numpy as np
 
 from . import nn, optim
-from .data import LabeledDataset, batches, build_corrupted_train, corrupt_labels
+from .data import (LabeledDataset, batches, build_corrupted_train, corrupt_labels, load_cifar10,
+                   load_mnist, subset)
 from .errors import (CheckpointError, ConsistencyError, DivergenceError,
                      FormatError, ValidationError)
+from .fixtures import synth_images
 from .tensor import norm2
 
 CHECKPOINT_MAGIC = b"SADNETv1\n"
@@ -56,10 +58,41 @@ def batch_seed(seed: int) -> int:
     return int(words[0]) << 32 | int(words[1])
 
 
+# The sets load_datasets builds; a library caller may give its own sets any name.
+DATASETS = ("mnist", "fashion-mnist", "cifar10", "synth")
+_SUBSET_STREAM = 808
+
+
+def load_datasets(cfg: TrainConfig, data_dir) -> tuple[LabeledDataset, LabeledDataset]:
+    """cfg.dataset's train and test sets at cfg's subset sizes: synth is drawn at them (4000/1000
+    when unset), a real set is read from data_dir and cut by a class-balanced draw seeded by
+    (cfg.data_seed, 808), so runs that differ only in seed see the same examples."""
+    n_train, n_test = cfg.train_subset, cfg.test_subset
+    if cfg.dataset == "synth":
+        return synth_images(n_train or 4000, n_test or 1000, data_seed=cfg.data_seed)
+    if cfg.dataset not in DATASETS:
+        raise ValidationError(f"dataset must be one of {', '.join(DATASETS)}, got {cfg.dataset!r}")
+    if data_dir is None:
+        raise ValidationError("--data-dir (or SADNET_DATA_DIR) is required for real datasets")
+    data_dir = Path(data_dir)
+    if not data_dir.exists():
+        raise ValidationError(f"data dir not found: {data_dir}")
+    train_ds, test_ds = (load_cifar10(data_dir) if cfg.dataset == "cifar10"
+                         else load_mnist(data_dir, cfg.dataset))
+    rng = np.random.default_rng((cfg.data_seed, _SUBSET_STREAM))
+    if n_train:
+        train_ds = subset(train_ds, n_train, rng)
+    if n_test:
+        test_ds = subset(test_ds, n_test, rng)
+    return train_ds, test_ds
+
+
 @dataclass
 class TrainConfig:
-    model_kind: str = "mlp"
-    optimizer: str = "adam"
+    """One run's settings; the CLI makes one flag per field, taking its "choices" metadata."""
+
+    model_kind: str = field(default="mlp", metadata={"choices": nn.MODEL_KINDS})
+    optimizer: str = field(default="adam", metadata={"choices": optim.KINDS})
     lr: float = 0.001
     batch_size: int = 128
     epochs: int = 1
@@ -67,16 +100,19 @@ class TrainConfig:
     seed: int = 0
     data_seed: int = 0
     hidden: int = 512
-    dataset: str = ""
+    # any name in the library; the CLI takes only the sets load_datasets builds
+    dataset: str = field(default="", metadata={"choices": DATASETS})
     train_subset: int | None = None
     test_subset: int | None = None
     stop_at_train_acc: float | None = None
 
     def __post_init__(self):
-        if self.model_kind not in ("mlp", "cnn"):
-            raise ValidationError(f"model_kind must be 'mlp' or 'cnn', got {self.model_kind!r}")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValidationError(f"optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
+        if self.model_kind not in nn.MODEL_KINDS:
+            kinds = " or ".join(map(repr, nn.MODEL_KINDS))
+            raise ValidationError(f"model_kind must be {kinds}, got {self.model_kind!r}")
+        if self.optimizer not in optim.KINDS:
+            kinds = " or ".join(map(repr, optim.KINDS))
+            raise ValidationError(f"optimizer must be {kinds}, got {self.optimizer!r}")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ValidationError(f"lr must be positive and finite, got {self.lr}")
         if self.batch_size < 1:
@@ -127,20 +163,17 @@ class RunRecord:
                 "init_hash": self.init_hash, "config": self.config,
                 "init_metrics": self.init_metrics}
 
-    def _jsonl(self, drop: tuple[str, ...] = ()) -> str:
+    def to_jsonl(self, drop: tuple[str, ...] = ()) -> str:
         lines = [_canon_json(self.header())]
         for row in self.rows:
             values = {k: v for k, v in asdict(row).items() if k not in drop}
             lines.append(_canon_json({"type": "epoch", **values}))
         return "\n".join(lines) + "\n"
 
-    def to_jsonl(self) -> str:
-        return self._jsonl()
-
     def deterministic_payload(self) -> bytes:
         """JSONL payload with wall-clock timing stripped; byte-identical
         across runs of the same config on the same platform."""
-        return self._jsonl(drop=("elapsed_sec",)).encode()
+        return self.to_jsonl(drop=("elapsed_sec",)).encode()
 
     def to_csv(self) -> str:
         return _csv([f.name for f in fields(EpochRow)], map(astuple, self.rows))
@@ -234,8 +267,10 @@ def train(model: nn.Model, train_ds: LabeledDataset, eval_train: LabeledDataset,
     """Run cfg.epochs of minibatch training, recording metrics per epoch.
 
     Metrics rows are evaluated on eval_train/eval_test (the clean sets, even when
-    train_ds is corrupted). Early stop triggers when accuracy on train_ds itself
-    reaches cfg.stop_at_train_acc. With cfg.epochs == 0 no step is taken: rows stay
+    train_ds is corrupted). A run on eval_train stops once its row's train accuracy reaches
+    cfg.stop_at_train_acc; a sad-point run stops only once both the epoch's running accuracy
+    (each step's hits, before its update) is at least that target - 0.01 and the end-of-epoch
+    accuracy on train_ds reaches the target. With cfg.epochs == 0 no step is taken: rows stay
     empty and the returned weights are the start weights. The returned checkpoint's
     'saturated' flag records whether the last clean metrics meet accuracy >= 0.98 on
     eval_train and <= 2/k on eval_test. With out_dir, the run directory gets the
@@ -292,7 +327,7 @@ def train(model: nn.Model, train_ds: LabeledDataset, eval_train: LabeledDataset,
             if train_ds is eval_train:
                 reached = row.train_acc >= target
             else:
-                # full evaluation is only worth it once the online epoch accuracy is close
+                # both gates decide when a sad-point run stops, not only what it costs
                 reached = hits / len(train_ds) >= target - 0.01 and evaluate(model, train_ds)[1] >= target
             if reached:
                 break
@@ -311,10 +346,10 @@ def construct_sad_point(train_ds: LabeledDataset, test_ds: LabeledDataset,
     """Corrupt the test labels, fold t copies into the train set, train to
     saturation, and return the resulting weights tagged 'sad'.
 
-    Unless cfg sets its own stop_at_train_acc, training stops once
-    corrupted-train accuracy reaches default_stop (pass None to always
-    run the full epoch budget, which minimizes more deeply). An
-    unsaturated run (see train's 'saturated' flag) is returned, not raised.
+    Unless cfg sets its own stop_at_train_acc, training stops at default_stop under
+    train's two-gate rule (pass None to always run the full epoch budget, which
+    minimizes more deeply). An unsaturated run (see train's 'saturated' flag) is
+    returned, not raised.
     """
     if train_ds.class_count != test_ds.class_count:
         raise ConsistencyError("train/test class counts differ")

@@ -30,7 +30,7 @@ class Layer:
         self.grads: list[np.ndarray] = []
         self._cache = None
 
-    def forward(self, x, cache=True):
+    def forward(self, x, *, cache):
         raise NotImplementedError
 
     def backward(self, delta, *, need_dx):
@@ -54,7 +54,7 @@ class Dense(Layer):
     def __init__(self, in_dim: int, out_dim: int):
         super().__init__((in_dim, out_dim), (out_dim,))
 
-    def forward(self, x, cache=True):
+    def forward(self, x, *, cache):
         out = T.matmul(x, self.w)
         out += self.b
         self._cache = x if cache else None
@@ -70,7 +70,7 @@ class Dense(Layer):
 class ReLU(Layer):
     kind = "relu"
 
-    def forward(self, x, cache=True):
+    def forward(self, x, *, cache):
         self._cache = x if cache else None
         return T.relu(x)
 
@@ -88,7 +88,7 @@ class Conv2d(Layer):
         super().__init__((out_channels, in_channels, kernel_hw, kernel_hw), (out_channels,))
         self.pad = pad
 
-    def forward(self, x, cache=True):
+    def forward(self, x, *, cache):
         out = T.conv2d_batch(x, self.kernels, self.bias, self.pad)
         self._cache = x if cache else None
         return out
@@ -109,7 +109,7 @@ class MaxPool2d(Layer):
         super().__init__()
         self.window = window
 
-    def forward(self, x, cache=True):
+    def forward(self, x, *, cache):
         out, idx = T.maxpool2d_batch(x, self.window)
         self._cache = (idx, x.shape) if cache else None
         return out
@@ -122,7 +122,7 @@ class MaxPool2d(Layer):
 class Flatten(Layer):
     kind = "flatten"
 
-    def forward(self, x, cache=True):
+    def forward(self, x, *, cache):
         self._cache = x.shape if cache else None
         return np.ascontiguousarray(x.reshape(x.shape[0], -1))
 
@@ -332,6 +332,7 @@ _BUILDERS = {
     "mlp": (_mlp, ("input_dim", "hidden", "class_count")),
     "cnn": (_cnn, ("input_channels", "input_hw", "class_count")),
 }
+MODEL_KINDS = tuple(_BUILDERS)
 
 
 def layers_of(arch: dict) -> tuple:

@@ -18,6 +18,7 @@ EPS = 1e-8
 # Elements per Adam block: the block's slices of theta, grad, m, v and the two
 # scratch vectors (256 KiB each) stay in a core's L2 cache between passes.
 BLOCK = 1 << 15
+KINDS = ("adam", "sgd")
 
 
 @dataclass
@@ -37,8 +38,9 @@ class OptimizerState:
     scratch: tuple[np.ndarray, np.ndarray] | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
-        if self.kind not in ("sgd", "adam"):
-            raise ValidationError(f"optimizer kind must be 'sgd' or 'adam', got {self.kind!r}")
+        if self.kind not in KINDS:
+            kinds = " or ".join(map(repr, KINDS))
+            raise ValidationError(f"optimizer kind must be {kinds}, got {self.kind!r}")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ValidationError(f"learning rate must be positive and finite, got {self.lr}")
 

@@ -17,13 +17,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sadnet.data import (MNIST_NAMES, LabeledDataset, build_corrupted_train, corrupt_labels,
-                         load_mnist, subset)
+from sadnet.data import MNIST_NAMES, LabeledDataset, build_corrupted_train, corrupt_labels, subset
 from sadnet.errors import FormatError
 from sadnet.experiment import (TrainConfig, checkpoint_of, clean_gradient_norm,
-                               construct_sad_point, escape_run, evaluate,
-                               load_checkpoint, new_model, save_checkpoint, train)
-from sadnet.fixtures import synth_blobs, synth_images
+                               construct_sad_point, escape_run, evaluate, load_checkpoint,
+                               load_datasets, new_model, save_checkpoint, train)
+from sadnet.fixtures import synth_blobs
 from sadnet.gradcheck import gradcheck_suite
 from sadnet.nn import build_mlp, cross_entropy, init_xavier_uniform
 
@@ -39,16 +38,15 @@ REPORT_PATH = Path(__file__).resolve().parent.parent / "acceptance_report.txt"
 
 
 def report(num: int, ok: bool, detail: str):
+    """Print the criterion's line and put it in the report in place of its old line, so a
+    partial run keeps the lines of the criteria it did not run, in criterion order."""
     line = f"[criterion {num:02d}] {'PASS' if ok else 'FAIL'}: {detail}"
     print(line)
-    with REPORT_PATH.open("a") as fh:
-        fh.write(line + "\n")
+    old = REPORT_PATH.read_text().splitlines() if REPORT_PATH.exists() else []
+    lines = {l.partition("]")[0]: l for l in old}
+    lines[line.partition("]")[0]] = line
+    REPORT_PATH.write_text("".join(l + "\n" for _, l in sorted(lines.items())))
     assert ok, line
-
-
-@pytest.fixture(scope="session", autouse=True)
-def fresh_report():
-    REPORT_PATH.write_text("")
 
 
 def _mnist_dir() -> Path | None:
@@ -67,15 +65,10 @@ def _mnist_dir() -> Path | None:
 def datasets():
     """(train, test, source_label) at 4000/1000."""
     base = _mnist_dir()
-    if base is not None:
-        rng = np.random.default_rng((DATA_SEED, 808))
-        full_train, full_test = load_mnist(base, "mnist")
-        train_ds = subset(full_train, TRAIN_N, rng)
-        test_ds = subset(full_test, TEST_N, rng)
-        label = "mnist"
-    else:
-        train_ds, test_ds = synth_images(TRAIN_N, TEST_N, data_seed=DATA_SEED)
-        label = "synth (no MNIST files found; same sizes, same thresholds)"
+    cfg = TrainConfig(dataset="synth" if base is None else "mnist", data_seed=DATA_SEED,
+                      train_subset=TRAIN_N, test_subset=TEST_N)
+    train_ds, test_ds = load_datasets(cfg, base)
+    label = "mnist" if base else "synth (no MNIST files found; same sizes, same thresholds)"
     print(f"\nacceptance dataset: {label}")
     return train_ds, test_ds, label
 
@@ -162,8 +155,9 @@ class TestCampaigns:
 
     def test_criterion_5_l2_does_not_prevent(self, datasets):
         # under weight decay the fully memorized state shows rare one-epoch
-        # avalanche dips, so these runs use the default saturation stop
-        # (corrupted-train acc >= 0.995) inside the 200-epoch cap
+        # avalanche dips, so these runs use the default saturation stop (epoch
+        # running acc >= 0.985 and end-of-epoch corrupted-train acc >= 0.995)
+        # inside the 200-epoch cap
         train_ds, test_ds, _ = datasets
         hits = 0
         details = []

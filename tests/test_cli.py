@@ -3,13 +3,14 @@
 import dataclasses
 import json
 import struct
+import typing
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sadnet import experiment
-from sadnet.cli import _CONFIG_FIELDS, _OPTIONS, _config_from, build_parser, run
+from sadnet import cli, experiment
+from sadnet.cli import _FLAG_NAMES, _config_from, _read_config_file, build_parser, run
 from sadnet.data import load_cifar10, load_idx
 from sadnet.experiment import (CHECKPOINT_MAGIC, TrainConfig, checkpoint_of, load_checkpoint,
                                save_checkpoint)
@@ -135,14 +136,47 @@ class TestOptions:
     # the CLI's own defaults are the epoch budget and the dataset; TrainConfig holds the rest
     @pytest.mark.parametrize("subcommand,epochs", [("train", 30), ("sadpoint", 200), ("escape", 50)])
     def test_unset_options_take_train_config_defaults(self, subcommand, epochs):
-        ns = build_parser().parse_args([subcommand])
+        extra = ["--from-checkpoint", "sad.ckpt"] if subcommand == "escape" else []
+        ns = build_parser().parse_args([subcommand, *extra])
         assert _config_from(ns) == TrainConfig(epochs=epochs, dataset="synth")
 
-    # so a new setting needs a flag, and no flag holds a setting the config header misses
-    def test_one_option_per_train_config_field(self):
-        settings = [_CONFIG_FIELDS.get(name, name) for name in _OPTIONS
-                    if name not in ("data_dir", "out_dir")]
-        assert sorted(settings) == sorted(f.name for f in dataclasses.fields(TrainConfig))
+    # so a new setting needs no CLI edit, and no flag holds a setting the config header misses:
+    # each field has one flag of its type on every training subcommand, and one config key
+    def test_one_option_per_train_config_field(self, tmp_path):
+        parser = build_parser()
+        subcommands = parser._subparsers._group_actions[0].choices
+        hints = typing.get_type_hints(TrainConfig)
+        for subcommand in ("train", "sadpoint", "escape"):
+            actions = subcommands[subcommand]._actions
+            lines, want = [], {}
+            for f in dataclasses.fields(TrainConfig):
+                flag = _FLAG_NAMES.get(f.name, f.name)
+                (action,) = [a for a in actions if a.dest == flag]
+                assert action.option_strings == ["--" + flag.replace("_", "-")]
+                assert action.type in (int, float, str)
+                assert hints[f.name] in (action.type, action.type | None)
+                assert action.choices == f.metadata.get("choices")
+                # a value other than the default that every field of its type accepts
+                value = action.choices[-1] if action.choices else action.type("3" if action.type is int else "0.5")
+                lines.append(f"{flag}={value}")
+                want[f.name] = value
+            others = {"help", "config", "progress", "from_checkpoint", "data_dir", "out_dir"}
+            assert len({a.dest for a in actions} - others) == len(want)
+            cfg_file = tmp_path / f"{subcommand}.cfg"
+            cfg_file.write_text("".join(line + "\n" for line in lines))
+            extra = ["--from-checkpoint", "sad.ckpt"] if subcommand == "escape" else []
+            ns = parser.parse_args([subcommand, *_read_config_file(str(cfg_file)), *extra])
+            assert _config_from(ns) == TrainConfig(**want)
+
+    def test_field_of_other_type_refused(self, monkeypatch):
+        @dataclasses.dataclass
+        class WithSwitch:
+            lr: float = 0.1
+            switch: bool = False
+
+        monkeypatch.setattr(cli, "TrainConfig", WithSwitch)
+        with pytest.raises(TypeError, match="bool"):
+            build_parser()
 
 
 class TestOutDir:

@@ -13,15 +13,15 @@ import numpy as np
 import pytest
 
 from sadnet import experiment
-from sadnet.data import LabeledDataset, build_corrupted_train, corrupt_labels
+from sadnet.data import LabeledDataset, build_corrupted_train, corrupt_labels, load_mnist, subset
 from sadnet.errors import (CheckpointError, ConsistencyError, DivergenceError,
                            FormatError, ValidationError)
 from sadnet.experiment import (CHECKPOINT_MAGIC, Checkpoint, TrainConfig, checkpoint_of,
                                clean_gradient_norm, construct_sad_point,
                                corruption_rng, distance_report, escape_run,
-                               evaluate, load_checkpoint, new_model, run_id_for,
-                               save_checkpoint, train)
-from sadnet.fixtures import synth_blobs, synth_images
+                               evaluate, load_checkpoint, load_datasets, new_model,
+                               run_id_for, save_checkpoint, train)
+from sadnet.fixtures import synth_blobs, synth_images, write_mnist_fixture
 from sadnet.nn import build_mlp, init_xavier_uniform
 
 
@@ -335,6 +335,18 @@ class TestSadPointAndEscape:
         assert rec.rows[-1].epoch < 200
         assert evaluate(cp.to_model(), ctrain)[1] >= acc_epoch1
 
+    def test_sad_run_stops_only_when_running_accuracy_is_close_too(self, blob_pair):
+        # the corrupted set is fully memorized after epoch 2, yet that epoch's running
+        # accuracy is below target - 0.01, so the run goes on to epoch 3
+        train_ds, test_ds = blob_pair
+        ctrain = build_corrupted_train(train_ds, corrupt_labels(test_ds, corruption_rng(7)))
+        cfg = blob_config(epochs=200, stop_at_train_acc=0.995)
+        model = new_model(cfg, train_ds)
+        end_of_epoch = []
+        _, rec = train(model, ctrain, train_ds, test_ds, cfg, tag="sad",
+                       on_epoch=lambda row: end_of_epoch.append(evaluate(model, ctrain)[1]))
+        assert end_of_epoch[1] == 1.0
+        assert rec.rows[-1].epoch == 3
 
     def test_cnn_sad_point_and_escape_deterministic(self):
         train_ds, test_ds = synth_images(24, 12, data_seed=3)
@@ -353,6 +365,31 @@ class TestSadPointAndEscape:
             assert all(math.isfinite(v) for v in values)
         for a, b in zip(first, second):
             assert a.deterministic_payload() == b.deterministic_payload()
+
+
+class TestLoadDatasets:
+    def test_synth_is_synth_images(self):
+        cfg = TrainConfig(dataset="synth", data_seed=3, train_subset=50, test_subset=20)
+        got = load_datasets(cfg, None)
+        for a, b in zip(got, synth_images(50, 20, data_seed=3)):
+            np.testing.assert_array_equal(a.images, b.images)
+            np.testing.assert_array_equal(a.labels, b.labels)
+            assert a.name == b.name
+
+    def test_real_set_is_the_class_balanced_draw(self, tmp_path):
+        write_mnist_fixture(tmp_path, n_train=100, n_test=40)
+        cfg = TrainConfig(dataset="fashion-mnist", data_seed=2, train_subset=20, test_subset=10)
+        full_train, full_test = load_mnist(tmp_path, "fashion-mnist")
+        rng = np.random.default_rng((2, 808))
+        want = subset(full_train, 20, rng), subset(full_test, 10, rng)
+        for a, b in zip(load_datasets(cfg, tmp_path), want):
+            np.testing.assert_array_equal(a.images, b.images)
+            np.testing.assert_array_equal(a.labels, b.labels)
+            assert a.name == b.name
+
+    def test_unknown_name_refused(self, tmp_path):
+        with pytest.raises(ValidationError, match="acceptance"):
+            load_datasets(TrainConfig(dataset="acceptance"), tmp_path)
 
 
 class TestGradientNorm:

@@ -47,7 +47,7 @@ class TestBuilders:
         out = x
         shapes = []
         for layer in model.layers:
-            out = layer.forward(out)
+            out = layer.forward(out, cache=False)
             shapes.append(out.shape[1:])
         assert shapes[0] == (16, 28, 28)
         assert shapes[2] == (16, 14, 14)
