@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .errors import SadnetError, ShapeError, ValidationError
 from .experiment import (TrainConfig, construct_sad_point, distance_report, escape_run,
-                         load_checkpoint, load_datasets, new_model, train)
+                         load_checkpoint, load_datasets, new_model, run_pairs, train)
 from .fixtures import write_cifar10_fixture, write_mnist_fixture
 from .gradcheck import REL_TOLERANCE, gradcheck_suite
 
@@ -173,22 +173,8 @@ def _cmd_run(ns) -> int:
 
 
 def _cmd_analyze(ns) -> int:
-    runs_dir = Path(ns.runs_dir)
-    if not runs_dir.is_dir():
-        raise ValidationError(f"runs dir not found: {runs_dir}")
     _check_out_dir(ns.out_dir)
-    pairs = []
-    for run_dir in sorted(p for p in runs_dir.iterdir() if p.is_dir()):
-        init_path = run_dir / "init.ckpt"
-        if not init_path.exists():
-            continue
-        for tag in ("clean", "sad", "escaped"):
-            final_path = run_dir / f"{tag}.ckpt"
-            if final_path.exists():
-                pairs.append((load_checkpoint(init_path), load_checkpoint(final_path)))
-    if not pairs:
-        raise ValidationError(f"no (init, final) checkpoint pairs under {runs_dir}")
-    report = distance_report(pairs)
+    report = distance_report(run_pairs(ns.runs_dir))
     out = report.write(ns.out_dir)
     for tag, stats in sorted(report.cohorts.items()):
         print(f"{tag}: mean dist {stats['mean']:.3f} +/- {stats['std']:.3f} over {stats['n']} runs")

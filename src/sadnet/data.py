@@ -1,6 +1,6 @@
 """Dataset ingestion, label corruption, and deterministic batching.
 
-Binary containers:
+Binary containers, read and written here alone:
   IDX      big-endian; magic 0x00000803 (images) / 0x00000801 (labels),
            then the declared dimension sizes as 32-bit integers, then
            raw unsigned bytes.
@@ -70,6 +70,34 @@ def _read_bytes(path) -> bytes:
         except (OSError, EOFError, zlib.error) as exc:
             raise FormatError(f"{path}: corrupt gzip stream: {exc}") from exc
     return raw
+
+
+def _write_bytes(path: Path, payload: bytes, compress: bool) -> Path:
+    """Write payload to path, or gzipped to path + ".gz" with a fixed mtime, so the bytes reproduce."""
+    if compress:
+        path = path.with_name(path.name + ".gz")
+        payload = gzip.compress(payload, mtime=0)
+    path.write_bytes(payload)
+    return path
+
+
+def write_idx_images(path, images_u8: np.ndarray, compress: bool = False) -> Path:
+    """Write (N, rows, cols) uint8 images as an IDX file."""
+    n, rows, cols = images_u8.shape
+    payload = struct.pack(">IIII", IDX_IMAGE_MAGIC, n, rows, cols) + images_u8.astype(np.uint8).tobytes()
+    return _write_bytes(Path(path), payload, compress)
+
+
+def write_idx_labels(path, labels, compress: bool = False) -> Path:
+    labels = np.asarray(labels, dtype=np.uint8)
+    payload = struct.pack(">II", IDX_LABEL_MAGIC, len(labels)) + labels.tobytes()
+    return _write_bytes(Path(path), payload, compress)
+
+
+def write_cifar10_file(path, labels, images_u8) -> Path:
+    """Write N labels and N uint8 3x32x32 images as CIFAR-10 records."""
+    records = np.column_stack([labels, np.reshape(images_u8, (len(labels), CIFAR_RECORD_BYTES - 1))])
+    return _write_bytes(Path(path), records.astype(np.uint8).tobytes(), compress=False)
 
 
 def _idx_header(raw: bytes, path, magic_want: int, ndim: int):
@@ -178,11 +206,12 @@ def build_corrupted_train(train: LabeledDataset, corrupted_test: LabeledDataset)
 
 def subset(ds: LabeledDataset, n: int, rng: np.random.Generator) -> LabeledDataset:
     """Sample n examples without replacement, balanced across the k classes."""
+    name = ds.name or "unnamed set"  # errors name the set, since a run cuts two
     if n < 1 or n > len(ds):
-        raise ValidationError(f"subset size {n} outside [1, {len(ds)}]")
+        raise ValidationError(f"{name}: subset size {n} outside [1, {len(ds)}]")
     k = ds.class_count
     if n < k:
-        raise ValidationError(f"stratified subset needs n >= {k} classes, got {n}")
+        raise ValidationError(f"{name}: a class-balanced subset needs n >= {k}, got {n}")
     base, extra = divmod(n, k)
     # classes granted one extra sample are chosen by the rng, keeping it deterministic
     bonus = set(rng.permutation(k)[:extra].tolist())
@@ -191,7 +220,8 @@ def subset(ds: LabeledDataset, n: int, rng: np.random.Generator) -> LabeledDatas
         idx = np.flatnonzero(ds.labels == c)
         want = base + (1 if c in bonus else 0)
         if want > len(idx):
-            raise ValidationError(f"class {c} has only {len(idx)} examples, need {want}")
+            raise ValidationError(f"{name}: class {c} has {len(idx)} examples; "
+                                  f"a class-balanced subset of {n} needs {want}")
         picks.append(rng.choice(idx, size=want, replace=False))
     pick = np.concatenate(picks)
     pick = pick[rng.permutation(len(pick))]

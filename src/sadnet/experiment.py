@@ -38,6 +38,9 @@ from .fixtures import synth_images
 from .tensor import norm2
 
 CHECKPOINT_MAGIC = b"SADNETv1\n"
+# a tag names files (<tag>.ckpt, analyze's histograms), so it must not hold a path
+_PLAIN_NAME = re.compile(r"[A-Za-z0-9_-]+")
+_FINAL_TAGS = ("clean", "sad", "escaped")  # of train, construct_sad_point and escape_run
 
 # Independent rng streams per run seed.
 _INIT_STREAM = 101
@@ -73,7 +76,7 @@ def load_datasets(cfg: TrainConfig, data_dir) -> tuple[LabeledDataset, LabeledDa
     if cfg.dataset not in DATASETS:
         raise ValidationError(f"dataset must be one of {', '.join(DATASETS)}, got {cfg.dataset!r}")
     if data_dir is None:
-        raise ValidationError("--data-dir (or SADNET_DATA_DIR) is required for real datasets")
+        raise ValidationError(f"dataset {cfg.dataset!r} is read from files, but no data_dir was given")
     data_dir = Path(data_dir)
     if not data_dir.exists():
         raise ValidationError(f"data dir not found: {data_dir}")
@@ -197,6 +200,8 @@ class Checkpoint:
     flags: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if not _PLAIN_NAME.fullmatch(self.tag):
+            raise CheckpointError(f"tag {self.tag!r} is not a plain name")
         need = _param_count(self.arch)
         if self.theta.size != need:
             raise CheckpointError(f"theta holds {self.theta.size} values, arch needs {need}")
@@ -279,6 +284,8 @@ def train(model: nn.Model, train_ds: LabeledDataset, eval_train: LabeledDataset,
     non-finite loss or metric is never recorded: it raises DivergenceError carrying
     the record so far, and nothing is written.
     """
+    if not _PLAIN_NAME.fullmatch(tag):
+        raise ValidationError(f"tag {tag!r} is not a plain name")
     for ds in (train_ds, eval_train, eval_test):
         if ds.class_count != model.class_count:
             raise ConsistencyError(
@@ -336,7 +343,7 @@ def train(model: nn.Model, train_ds: LabeledDataset, eval_train: LabeledDataset,
     saturated = bool(last["train_acc"] >= 0.98 and last["test_acc"] <= 2.0 / model.class_count)
     cp = checkpoint_of(model, cfg, tag, flags={"saturated": saturated})
     if out_dir:
-        record.run_dir = str(persist_run(out_dir, record, {"init": init_cp, tag: cp}))
+        record.run_dir = str(persist_run(out_dir, record, [init_cp, cp]))
     return cp, record
 
 
@@ -479,8 +486,7 @@ def _check_header(path, header) -> None:
             raise FormatError(f"{path}: header {key!r} is not a {kind.__name__}")
     if not isinstance(header.get("flags", {}), dict):
         raise FormatError(f"{path}: header 'flags' is not a dict")
-    # analyze names files after the tag, so it must not hold a path
-    if not re.fullmatch(r"[A-Za-z0-9_-]+", header["tag"]):
+    if not _PLAIN_NAME.fullmatch(header["tag"]):
         raise FormatError(f"{path}: header 'tag' {header['tag']!r} is not a plain name")
 
 
@@ -517,12 +523,26 @@ def load_checkpoint(path) -> Checkpoint:
                       header.get("flags", {}))
 
 
-def persist_run(out_dir, record: RunRecord, checkpoints: dict[str, Checkpoint]) -> Path:
-    """Write metrics.jsonl/metrics.csv and the given checkpoints under
+def persist_run(out_dir, record: RunRecord, checkpoints: list[Checkpoint]) -> Path:
+    """Write metrics.jsonl/metrics.csv and each checkpoint as <tag>.ckpt under
     out_dir/<run_id>/."""
     run_dir = Path(out_dir) / record.run_id
     _write_atomic(run_dir / "metrics.jsonl", record.to_jsonl().encode())
     _write_atomic(run_dir / "metrics.csv", record.to_csv().encode())
-    for name, cp in checkpoints.items():
-        save_checkpoint(cp, run_dir / f"{name}.ckpt")
+    for cp in checkpoints:
+        save_checkpoint(cp, run_dir / f"{cp.tag}.ckpt")
     return run_dir
+
+
+def run_pairs(runs_dir) -> list[tuple[Checkpoint, Checkpoint]]:
+    """(init, final) checkpoints of the run directories under runs_dir, in name order: a
+    directory's init.ckpt pairs with each of its clean.ckpt, sad.ckpt and escaped.ckpt, in turn."""
+    runs_dir = Path(runs_dir)
+    if not runs_dir.is_dir():
+        raise ValidationError(f"runs dir not found: {runs_dir}")
+    paths = [(run / "init.ckpt", run / f"{tag}.ckpt") for run in sorted(runs_dir.iterdir()) for tag in _FINAL_TAGS]
+    pairs = [(load_checkpoint(init), load_checkpoint(final)) for init, final in paths
+             if init.exists() and final.exists()]
+    if not pairs:
+        raise ValidationError(f"no (init, final) checkpoint pairs under {runs_dir}")
+    return pairs

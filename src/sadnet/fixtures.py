@@ -13,14 +13,13 @@ memorization when restarted from such a point.
 
 from __future__ import annotations
 
-import gzip
-import struct
 from pathlib import Path
 
 import numpy as np
 
-from .data import (CIFAR_RECORD_BYTES, CIFAR_TEST_FILE, CIFAR_TRAIN_FILES, IDX_IMAGE_MAGIC,
-                   IDX_LABEL_MAGIC, MNIST_NAMES, LabeledDataset)
+# the IDX writers live in data; perfbench and the tests also import them from here
+from .data import (CIFAR_TEST_FILE, CIFAR_TRAIN_FILES, MNIST_NAMES, LabeledDataset,
+                   write_cifar10_file, write_idx_images, write_idx_labels)
 
 SYNTH_CLASSES = 10
 SYNTH_HW = 28
@@ -44,8 +43,7 @@ def _class_prototypes(rng: np.random.Generator, k: int, hw: int) -> np.ndarray:
     return protos
 
 
-def synth_images(n_train: int, n_test: int, *,
-                 data_seed: int = 0) -> tuple[LabeledDataset, LabeledDataset]:
+def synth_images(n_train: int, n_test: int, *, data_seed: int) -> tuple[LabeledDataset, LabeledDataset]:
     """Deterministic 10-class image task at MNIST-family geometry.
 
     Each image is its class prototype scaled by a U[0.6, 1] amplitude, plus
@@ -81,29 +79,6 @@ def synth_blobs(n: int, *, k: int, dim: int, seed: int, name: str = "blobs") -> 
     return LabeledDataset(images.reshape(n, 1, 1, dim), labels, k, name)
 
 
-def _write(path: Path, payload: bytes, compress: bool) -> Path:
-    if compress:
-        path = path.with_name(path.name + ".gz")
-        # fixed mtime keeps gzip output byte-reproducible
-        path.write_bytes(gzip.compress(payload, mtime=0))
-    else:
-        path.write_bytes(payload)
-    return path
-
-
-def write_idx_images(path, images_u8: np.ndarray, compress: bool = False) -> Path:
-    """Write (N, rows, cols) uint8 images as an IDX file."""
-    n, rows, cols = images_u8.shape
-    payload = struct.pack(">IIII", IDX_IMAGE_MAGIC, n, rows, cols) + images_u8.astype(np.uint8).tobytes()
-    return _write(Path(path), payload, compress)
-
-
-def write_idx_labels(path, labels, compress: bool = False) -> Path:
-    labels = np.asarray(labels, dtype=np.uint8)
-    payload = struct.pack(">II", IDX_LABEL_MAGIC, len(labels)) + labels.tobytes()
-    return _write(Path(path), payload, compress)
-
-
 def write_mnist_fixture(dir_path, n_train: int = 64, n_test: int = 16,
                         seed: int = 0, compress: bool = False) -> dict[str, Path]:
     """Write a tiny random IDX train/test pair using the standard file names."""
@@ -119,19 +94,12 @@ def write_mnist_fixture(dir_path, n_train: int = 64, n_test: int = 16,
     return paths
 
 
-def write_cifar10_fixture(dir_path, n_per_batch: int = 4, n_test: int = 4,
-                          seed: int = 0) -> Path:
+def write_cifar10_fixture(dir_path, n_per_batch: int = 4, n_test: int = 4, seed: int = 0) -> Path:
     """Write tiny CIFAR-10 files: the five train batches and the test batch."""
     base = Path(dir_path)
     base.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng((seed, 707))
-
-    def record_block(n):
-        labels = rng.integers(0, 10, size=(n, 1), dtype=np.uint8)
-        pixels = rng.integers(0, 256, size=(n, CIFAR_RECORD_BYTES - 1), dtype=np.uint8)
-        return np.concatenate([labels, pixels], axis=1).tobytes()
-
-    for fname in CIFAR_TRAIN_FILES:
-        (base / fname).write_bytes(record_block(n_per_batch))
-    (base / CIFAR_TEST_FILE).write_bytes(record_block(n_test))
+    for fname, n in (dict.fromkeys(CIFAR_TRAIN_FILES, n_per_batch) | {CIFAR_TEST_FILE: n_test}).items():
+        labels = rng.integers(0, 10, size=n, dtype=np.uint8)
+        write_cifar10_file(base / fname, labels, rng.integers(0, 256, size=(n, 3, 32, 32), dtype=np.uint8))
     return base

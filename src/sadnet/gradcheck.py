@@ -20,13 +20,13 @@ BATCH = 4
 L2_EVERY = 5  # every fifth model also checks the L2 penalty's gradient
 
 
-def analytic_gradients(model: nn.Model, images, labels, l2: float = 0.0) -> np.ndarray:
+def analytic_gradients(model: nn.Model, images, labels, l2: float) -> np.ndarray:
     nn.full_pass(model, images, labels, grad=True)
     nn.add_l2_gradients(model, l2)
     return model.grad.copy()
 
 
-def numerical_gradients(model: nn.Model, images, labels, l2: float = 0.0) -> np.ndarray:
+def numerical_gradients(model: nn.Model, images, labels, l2: float) -> np.ndarray:
     """Central differences, one coordinate of model.theta at a time."""
     def loss() -> float:
         return nn.full_pass(model, images, labels, grad=False)[0] + nn.l2_penalty(model, l2)
@@ -73,7 +73,7 @@ def random_small_model(rng: np.random.Generator) -> nn.Model:
     return model
 
 
-def gradcheck_suite(seed: int, n_models: int = 20) -> tuple[float, list[dict]]:
+def gradcheck_suite(seed: int, n_models: int) -> tuple[float, list[dict]]:
     """Run the finite-difference suite; returns (max rel error, per-model detail)."""
     if seed < 0:
         raise ValidationError(f"gradcheck seed must be >= 0, got {seed}")

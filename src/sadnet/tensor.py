@@ -157,7 +157,7 @@ def relu_backward(upstream: Tensor, x: Tensor) -> Tensor:
     return np.where(np.asarray(x) > 0.0, upstream, 0.0)
 
 
-def softmax(logits: Tensor, axis: int = -1) -> Tensor:
+def softmax(logits: Tensor, axis: int) -> Tensor:
     """Stable softmax along `axis` (max subtracted before exponentiation)."""
     z = np.asarray(logits, dtype=np.float64)
     z = z - z.max(axis=axis, keepdims=True)

@@ -318,6 +318,29 @@ class TestTrainCommand:
         assert run(["train", "--config", str(cfg_file), "--epochs", "1"]) == 1
         assert "UTF-8" in capsys.readouterr().err
 
+    def test_config_line_without_equals(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("# comment\nseed 3\n")
+        assert run(["train", "--config", str(cfg_file), "--out-dir", str(tmp_path / "runs")]) == 1
+        assert f"{cfg_file}:2: expected key=value, got 'seed 3'" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    # the set and the size at fault are named, not only the class that falls short
+    def test_subset_larger_than_a_class_names_set_and_size(self, tmp_path, capsys):
+        assert run(["fixtures", "--out-dir", str(tmp_path / "fx")]) == 0
+        code = run(["train", "--dataset", "mnist", "--data-dir", str(tmp_path / "fx" / "mnist"),
+                    "--test-subset", "10", "--epochs", "1", "--out-dir", str(tmp_path / "runs")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: mnist-test: class 1 has 0 examples; a class-balanced subset of 10 needs 1" in err
+        assert not (tmp_path / "runs").exists()
+
+    def test_progress_prints_each_epoch(self, tmp_path, capsys):
+        assert run(tiny_args("train", tmp_path, epochs=2) + ["--progress"]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert [line.split(":")[0] for line in lines] == ["epoch 1", "epoch 2"]
+        assert all(" train_acc " in line and " test_acc " in line for line in lines)
+
     def test_missing_cifar_batch(self, tmp_path, capsys):
         assert run(["fixtures", "--out-dir", str(tmp_path / "fx")]) == 0
         (tmp_path / "fx" / "cifar10" / "data_batch_2.bin").unlink()
@@ -396,6 +419,15 @@ class TestPipelineCommands:
         assert "sad:" in stdout
         assert (tmp_path / "analysis" / "distance_summary.csv").exists()
         assert list(tmp_path.rglob("*.tmp")) == []
+
+    @pytest.mark.parametrize("runs,message", [("absent", "runs dir not found"),
+                                              ("empty", "no (init, final) checkpoint pairs under")])
+    def test_analyze_without_pairs_exits_1(self, tmp_path, capsys, runs, message):
+        (tmp_path / "empty").mkdir()
+        code = run(["analyze", "--runs-dir", str(tmp_path / runs), "--out-dir", str(tmp_path / "analysis")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not (tmp_path / "analysis").exists()
 
     def test_corrupt_checkpoint_is_runtime_error(self, tmp_path, capsys):
         out = tmp_path / "runs"

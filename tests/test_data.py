@@ -2,6 +2,7 @@
 
 import gzip
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -114,6 +115,13 @@ class TestLoadCifar10:
         assert train.images.shape[1:] == (3, 32, 32)
         assert train.class_count == 10
         assert train.images.max() <= 1.0
+
+    def test_batches_bin_subdirectory(self, tmp_path):
+        # the official archive unpacks into cifar-10-batches-bin/; its parent may be given
+        write_cifar10_fixture(tmp_path / "cifar-10-batches-bin", seed=2)
+        for a, b in zip(load_cifar10(tmp_path), load_cifar10(tmp_path / "cifar-10-batches-bin")):
+            np.testing.assert_array_equal(a.images, b.images)
+            np.testing.assert_array_equal(a.labels, b.labels)
 
     def test_single_record_label(self, tmp_path):
         record = bytes([7]) + bytes(3072)
@@ -294,6 +302,17 @@ class TestSubset:
             subset(ds, 21, np.random.default_rng(0))
         with pytest.raises(ValidationError):
             subset(ds, 5, np.random.default_rng(0))
+
+    def test_errors_name_the_set_and_size(self):
+        labels = [0, 0, 2, 3, 4, 5, 6, 7, 8, 9, 0, 2]  # no class 1
+        ds = LabeledDataset(np.zeros((12, 1, 1, 1)), labels, 10, "x-test")
+        for n, message in ((10, "class 1 has 0 examples; a class-balanced subset of 10 needs 1"),
+                           (13, "subset size 13 outside [1, 12]"),
+                           (5, "a class-balanced subset needs n >= 10, got 5")):
+            with pytest.raises(ValidationError, match=f"^{re.escape('x-test: ' + message)}$"):
+                subset(ds, n, np.random.default_rng(0))
+        with pytest.raises(ValidationError, match=r"^unnamed set: subset size 13 outside \[1, 12\]$"):
+            subset(LabeledDataset(ds.images, ds.labels, 10), 13, np.random.default_rng(0))
 
 
 class TestBatches:

@@ -15,12 +15,12 @@ import pytest
 from sadnet import experiment
 from sadnet.data import LabeledDataset, build_corrupted_train, corrupt_labels, load_mnist, subset
 from sadnet.errors import (CheckpointError, ConsistencyError, DivergenceError,
-                           FormatError, ValidationError)
+                           FormatError, SadnetError, ValidationError)
 from sadnet.experiment import (CHECKPOINT_MAGIC, Checkpoint, TrainConfig, checkpoint_of,
                                clean_gradient_norm, construct_sad_point,
                                corruption_rng, distance_report, escape_run,
                                evaluate, load_checkpoint, load_datasets, new_model,
-                               run_id_for, save_checkpoint, train)
+                               run_id_for, run_pairs, save_checkpoint, train)
 from sadnet.fixtures import synth_blobs, synth_images, write_mnist_fixture
 from sadnet.nn import build_mlp, init_xavier_uniform
 
@@ -52,9 +52,15 @@ class TestTrainConfig:
         for field, value in (("hidden", 0), ("train_subset", 0), ("test_subset", -5),
                              ("lr", math.nan), ("lr", math.inf),
                              ("l2_lambda", math.nan), ("l2_lambda", math.inf),
-                             ("seed", -1), ("data_seed", -2)):
+                             ("seed", -1), ("data_seed", -2), ("optimizer", "rmsprop"),
+                             ("batch_size", 0)):
             with pytest.raises(ValidationError, match=field):
                 TrainConfig(**{field: value})
+
+    def test_cnn_refuses_non_square_images(self):
+        ds = LabeledDataset(np.zeros((2, 1, 4, 6)), [0, 1], 2)
+        with pytest.raises(ValidationError, match="square images, got 4x6"):
+            new_model(blob_config(model_kind="cnn"), ds)
 
     def test_run_id_deterministic(self):
         cfg = blob_config()
@@ -138,6 +144,15 @@ class TestTrain:
         other = synth_blobs(12, k=3, dim=32, seed=3)
         with pytest.raises(ConsistencyError):
             train(model, other, other, test_ds, cfg)
+
+    # a tag becomes a file name, so one holding a path is refused before any step or write
+    def test_tag_holding_a_path_refused_before_any_write(self, blob_pair, tmp_path):
+        train_ds, test_ds = blob_pair
+        cfg = blob_config(epochs=1)
+        with pytest.raises(SadnetError, match="not a plain name"):
+            train(new_model(cfg, train_ds), train_ds, train_ds, test_ds, cfg,
+                  out_dir=tmp_path / "runs", tag="../../escaped_file")
+        assert list(tmp_path.iterdir()) == []
 
     def test_non_finite_loss_raises_with_record(self, blob_pair):
         # SGD at lr 1e100 overflows the logits within the first epoch
@@ -309,6 +324,12 @@ class TestSadPointAndEscape:
                 escape_run(cp, other, other, cfg, out_dir=tmp_path)
         assert list(tmp_path.iterdir()) == []
 
+    def test_sad_point_refuses_class_count_mismatch(self, blob_pair, tmp_path):
+        other = synth_blobs(12, k=3, dim=32, seed=3)
+        with pytest.raises(ConsistencyError, match="class counts differ"):
+            construct_sad_point(blob_pair[0], other, blob_config(), out_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
     def test_full_corrupted_accuracy_implies_full_clean_accuracy(self, blob_pair):
         # the clean train set is the verbatim prefix of the corrupted one
         train_ds, test_ds = blob_pair
@@ -391,6 +412,10 @@ class TestLoadDatasets:
         with pytest.raises(ValidationError, match="acceptance"):
             load_datasets(TrainConfig(dataset="acceptance"), tmp_path)
 
+    def test_real_set_needs_data_dir(self):
+        with pytest.raises(ValidationError, match="dataset 'mnist' is read from files, but no data_dir"):
+            load_datasets(TrainConfig(dataset="mnist"), None)
+
 
 class TestGradientNorm:
     def test_saturated_single_sample_near_zero(self):
@@ -457,6 +482,38 @@ class TestDistanceReport:
         b = checkpoint_of(new_model(blob_config(hidden=32), train_ds), blob_config(hidden=32), "clean")
         with pytest.raises(CheckpointError):
             distance_report([(a, b)])
+
+
+class TestRunPairs:
+    def test_pairs_in_directory_name_order(self, blob_pair, tmp_path):
+        train_ds, test_ds = blob_pair
+        cfg = blob_config(epochs=1)
+        sad, sad_rec = construct_sad_point(train_ds, test_ds, cfg, out_dir=tmp_path)
+        _, clean_rec = train(new_model(cfg, train_ds), train_ds, train_ds, test_ds, cfg, out_dir=tmp_path)
+        _, escape_rec = escape_run(sad, train_ds, test_ds, cfg, out_dir=tmp_path)
+        (tmp_path / "notes.ckpt").write_bytes(b"")  # a file, not a run directory
+        save_checkpoint(sad, tmp_path / "no-init" / "sad.ckpt")  # no init.ckpt to pair with
+        records = sorted((sad_rec, clean_rec, escape_rec), key=lambda rec: rec.run_id)
+        pairs = run_pairs(tmp_path)
+        assert [final.tag for _, final in pairs] == [rec.tag for rec in records]
+        for (init, final), rec in zip(pairs, records):
+            run_dir = tmp_path / rec.run_id
+            np.testing.assert_array_equal(init.theta, load_checkpoint(run_dir / "init.ckpt").theta)
+            np.testing.assert_array_equal(final.theta, load_checkpoint(run_dir / f"{rec.tag}.ckpt").theta)
+
+    def test_init_pairs_with_each_final_in_tag_order(self, blob_pair, tmp_path):
+        model = new_model(blob_config(), blob_pair[0])
+        for tag in ("escaped", "init", "other", "sad", "clean"):
+            save_checkpoint(checkpoint_of(model, blob_config(), tag), tmp_path / "run" / f"{tag}.ckpt")
+        assert [(init.tag, final.tag) for init, final in run_pairs(tmp_path)] == [
+            ("init", "clean"), ("init", "sad"), ("init", "escaped")]
+
+    def test_missing_or_pairless_runs_dir(self, tmp_path):
+        with pytest.raises(ValidationError, match="runs dir not found"):
+            run_pairs(tmp_path / "absent")
+        (tmp_path / "run").mkdir()
+        with pytest.raises(ValidationError, match=r"no \(init, final\) checkpoint pairs under"):
+            run_pairs(tmp_path)
 
 
 class TestCheckpointIO:
@@ -560,6 +617,11 @@ class TestCheckpointIO:
         path = self._rewrite_header(blob_pair, tmp_path, lambda h: {**h, "tag": tag})
         with pytest.raises(FormatError, match=r"model\.ckpt: header 'tag'"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("tag", ["a/b", "..", ""])
+    def test_checkpoint_refuses_tag_holding_a_path(self, tag):
+        with pytest.raises(CheckpointError, match="not a plain name"):
+            checkpoint_of(build_mlp(4, 3, 2), blob_config(), tag)
 
     # the checksum covers only the payload, so an arch whose layers do not hold
     # the payload, however large, must be refused before anything is allocated

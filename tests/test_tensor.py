@@ -293,28 +293,28 @@ class TestReluSoftmaxNormAxpy:
         np.testing.assert_array_equal(T.relu_backward(np.array([5.0]), np.array([0.0])), [0.0])
 
     def test_softmax_uniform(self):
-        np.testing.assert_allclose(T.softmax(np.zeros(10)), np.full(10, 0.1), atol=1e-15)
+        np.testing.assert_allclose(T.softmax(np.zeros(10), axis=0), np.full(10, 0.1), atol=1e-15)
 
     def test_softmax_shift_invariance(self):
         rng = np.random.default_rng(8)
         z = rng.normal(size=7)
-        np.testing.assert_allclose(T.softmax(z), T.softmax(z + 123.456), atol=1e-12)
+        np.testing.assert_allclose(T.softmax(z, axis=0), T.softmax(z + 123.456, axis=0), atol=1e-12)
 
     def test_softmax_frozen_values(self):
         # frozen from the direct exponential-sum oracle on [1, 2, 3]
-        np.testing.assert_allclose(T.softmax(np.array([1.0, 2.0, 3.0])),
+        np.testing.assert_allclose(T.softmax(np.array([1.0, 2.0, 3.0]), axis=0),
                                    [0.09003057, 0.24472847, 0.66524096], atol=1e-8)
 
     def test_softmax_is_probability_vector(self):
         rng = np.random.default_rng(9)
         for _ in range(50):
             z = rng.normal(0, 10, size=rng.integers(2, 12))
-            p = T.softmax(z)
+            p = T.softmax(z, axis=0)
             assert (p >= 0).all()
             assert abs(p.sum() - 1.0) < 1e-12
 
     def test_softmax_large_logits_stable(self):
-        p = T.softmax(np.array([1000.0, 0.0]))
+        p = T.softmax(np.array([1000.0, 0.0]), axis=0)
         assert np.isfinite(p).all()
         np.testing.assert_allclose(p, [1.0, 0.0], atol=1e-12)
 
