@@ -21,7 +21,7 @@ import typing
 from pathlib import Path
 
 from .errors import SadnetError, ShapeError, ValidationError
-from .experiment import (TrainConfig, construct_sad_point, distance_report, escape_run,
+from .experiment import (TrainConfig, construct_sad_point, distance_report, escape_run, field_type,
                          load_checkpoint, load_datasets, new_model, run_pairs, train)
 from .fixtures import write_cifar10_fixture, write_mnist_fixture
 from .gradcheck import REL_TOLERANCE, gradcheck_suite
@@ -37,20 +37,11 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-def _flag_type(hint) -> type:
-    """int, float or str from a field's annotation, with X | None unwrapped. Any other type
-    is refused: argparse would read a bool flag's "False" as bool("False"), which is True."""
-    for typ in (int, float, str):
-        if hint in (typ, typ | None):
-            return typ
-    raise TypeError(f"a TrainConfig field needs an int, float or str flag, got {hint}")
-
-
 def _settings() -> list[tuple[str, str, type, tuple | None]]:
     """(flag name, field name, type, choices) per TrainConfig field, in field order;
     the flag name is also the config-file key."""
     hints = typing.get_type_hints(TrainConfig)
-    return [(_FLAG_NAMES.get(f.name, f.name), f.name, _flag_type(hints[f.name]), f.metadata.get("choices"))
+    return [(_FLAG_NAMES.get(f.name, f.name), f.name, field_type(hints[f.name]), f.metadata.get("choices"))
             for f in dataclasses.fields(TrainConfig)]
 
 

@@ -13,6 +13,7 @@ magic). Pixels are scaled by 1/255 into [0, 1]; no standardization.
 from __future__ import annotations
 
 import gzip
+import os
 import struct
 import zlib
 from dataclasses import dataclass
@@ -45,6 +46,10 @@ class LabeledDataset:
     name: str = ""
 
     def __post_init__(self):
+        if isinstance(self.class_count, np.integer):  # e.g. labels.max() + 1
+            self.class_count = int(self.class_count)
+        if type(self.class_count) is not int:
+            raise ValidationError(f"class_count must be an int, got {self.class_count!r}")
         self.images = np.ascontiguousarray(self.images, dtype=np.float64)
         self.labels = np.ascontiguousarray(self.labels, dtype=np.int64)
         if self.images.ndim != 4:
@@ -72,13 +77,27 @@ def _read_bytes(path) -> bytes:
     return raw
 
 
+def _write_atomic(path: Path, *chunks: bytes) -> Path:
+    """Every file sadnet writes goes through here: chunks go to a sibling temporary file renamed
+    over path, so path holds its old content or all of the new. Creates path's directory; returns path."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with tmp.open("wb") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return path
+
+
 def _write_bytes(path: Path, payload: bytes, compress: bool) -> Path:
     """Write payload to path, or gzipped to path + ".gz" with a fixed mtime, so the bytes reproduce."""
     if compress:
         path = path.with_name(path.name + ".gz")
         payload = gzip.compress(payload, mtime=0)
-    path.write_bytes(payload)
-    return path
+    return _write_atomic(path, payload)
 
 
 def write_idx_images(path, images_u8: np.ndarray, compress: bool = False) -> Path:

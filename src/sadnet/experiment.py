@@ -20,18 +20,18 @@ import hashlib
 import io
 import json
 import math
-import os
 import re
 import struct
 import time
+import typing
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import nn, optim
-from .data import (LabeledDataset, batches, build_corrupted_train, corrupt_labels, load_cifar10,
-                   load_mnist, subset)
+from .data import (LabeledDataset, _write_atomic, batches, build_corrupted_train, corrupt_labels,
+                   load_cifar10, load_mnist, subset)
 from .errors import (CheckpointError, ConsistencyError, DivergenceError,
                      FormatError, ValidationError)
 from .fixtures import synth_images
@@ -90,6 +90,15 @@ def load_datasets(cfg: TrainConfig, data_dir) -> tuple[LabeledDataset, LabeledDa
     return train_ds, test_ds
 
 
+def field_type(hint) -> type:
+    """int, float or str from a TrainConfig field's annotation, with X | None unwrapped. Any other
+    type is refused: the CLI would read a bool flag's "False" as bool("False"), which is True."""
+    for typ in (int, float, str):
+        if hint in (typ, typ | None):
+            return typ
+    raise TypeError(f"a TrainConfig field needs an int, float or str type, got {hint}")
+
+
 @dataclass
 class TrainConfig:
     """One run's settings; the CLI makes one flag per field, taking its "choices" metadata."""
@@ -110,6 +119,12 @@ class TrainConfig:
     stop_at_train_acc: float | None = None
 
     def __post_init__(self):
+        for name, hint in typing.get_type_hints(TrainConfig).items():
+            if isinstance(value := getattr(self, name), np.generic):  # a numpy scalar becomes the value it holds
+                setattr(self, name, value := value.item())
+            typ = field_type(hint)  # a bool is no number; an int in a float field stays as given
+            if isinstance(value, bool) or not isinstance(value, hint | int if typ is float else hint):
+                raise ValidationError(f"{name} must be {typ.__name__}, got {value!r}")
         if self.model_kind not in nn.MODEL_KINDS:
             kinds = " or ".join(map(repr, nn.MODEL_KINDS))
             raise ValidationError(f"model_kind must be {kinds}, got {self.model_kind!r}")
@@ -120,9 +135,7 @@ class TrainConfig:
             raise ValidationError(f"lr must be positive and finite, got {self.lr}")
         if self.batch_size < 1:
             raise ValidationError(f"batch_size must be positive, got {self.batch_size}")
-        if self.epochs < 0:
-            raise ValidationError(f"epochs must be >= 0, got {self.epochs}")
-        for name in ("seed", "data_seed"):
+        for name in ("epochs", "seed", "data_seed"):
             if getattr(self, name) < 0:
                 raise ValidationError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.hidden < 1:
@@ -158,8 +171,8 @@ class RunRecord:
     tag: str
     init_hash: str
     init_metrics: dict
-    rows: list[EpochRow] = field(default_factory=list)
-    run_dir: str | None = None
+    rows: list[EpochRow] = field(default_factory=list, init=False)
+    run_dir: str | None = field(default=None, init=False)
 
     def header(self) -> dict:
         return {"type": "config", "run_id": self.run_id, "tag": self.tag,
@@ -451,25 +464,8 @@ def save_checkpoint(cp: Checkpoint, path) -> Path:
         "checksum": hashlib.sha256(payload).hexdigest(),
     }
     header_bytes = _canon_json(header).encode()
-    path = Path(path)
-    _write_atomic(path, CHECKPOINT_MAGIC, struct.pack(">Q", len(header_bytes)),
-                  header_bytes, payload)
-    return path
-
-
-def _write_atomic(path: Path, *chunks: bytes) -> None:
-    """Write chunks to a sibling temporary file, then rename it over path,
-    so that path holds either its old content or all of the new. Creates path's directory."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with tmp.open("wb") as fh:
-            for chunk in chunks:
-                fh.write(chunk)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    return _write_atomic(Path(path), CHECKPOINT_MAGIC, struct.pack(">Q", len(header_bytes)),
+                         header_bytes, payload)
 
 
 _HEADER_TYPES = {"arch": dict, "config": dict, "tag": str, "checksum": str}

@@ -83,7 +83,6 @@ def write_mnist_fixture(dir_path, n_train: int = 64, n_test: int = 16,
                         seed: int = 0, compress: bool = False) -> dict[str, Path]:
     """Write a tiny random IDX train/test pair using the standard file names."""
     base = Path(dir_path)
-    base.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng((seed, 606))
     paths = {}
     for split, n in (("train", n_train), ("test", n_test)):
@@ -97,7 +96,6 @@ def write_mnist_fixture(dir_path, n_train: int = 64, n_test: int = 16,
 def write_cifar10_fixture(dir_path, n_per_batch: int = 4, n_test: int = 4, seed: int = 0) -> Path:
     """Write tiny CIFAR-10 files: the five train batches and the test batch."""
     base = Path(dir_path)
-    base.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng((seed, 707))
     for fname, n in (dict.fromkeys(CIFAR_TRAIN_FILES, n_per_batch) | {CIFAR_TEST_FILE: n_test}).items():
         labels = rng.integers(0, 10, size=n, dtype=np.uint8)

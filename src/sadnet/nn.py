@@ -249,29 +249,25 @@ def full_pass(model: Model, images: np.ndarray, labels: np.ndarray, *,
     return loss_sum / n, hits
 
 
-def l2_penalty(model: Model, lam: float) -> float:
-    """lam * sum of squared weight entries (biases excluded)."""
+def _l2_weights(model: Model, lam: float) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(weights, weight gradient) of each layer with parameters, biases excluded; none at lam 0."""
     if not (math.isfinite(lam) and lam >= 0):
         raise ValidationError(f"l2 lambda must be finite and >= 0, got {lam}")
-    if lam == 0:
-        return 0.0
+    return [(layer.params[0], layer.grads[0]) for layer in model.layers if layer.params] if lam else []
+
+
+def l2_penalty(model: Model, lam: float) -> float:
+    """lam * sum of squared weight entries (biases excluded)."""
     total = 0.0
-    for layer in model.layers:
-        if layer.params:
-            w = layer.params[0]
-            total += float(np.sum(w * w))
+    for w, _ in _l2_weights(model, lam):
+        total += float(np.sum(w * w))
     return lam * total
 
 
 def add_l2_gradients(model: Model, lam: float) -> None:
     """Add 2*lam*W to each weight gradient in place (biases untouched)."""
-    if not (math.isfinite(lam) and lam >= 0):
-        raise ValidationError(f"l2 lambda must be finite and >= 0, got {lam}")
-    if lam == 0:
-        return
-    for layer in model.layers:
-        if layer.params:
-            layer.grads[0] += 2.0 * lam * layer.params[0]
+    for w, g in _l2_weights(model, lam):
+        g += 2.0 * lam * w
 
 
 def init_xavier_uniform(model: Model, rng: np.random.Generator) -> None:

@@ -2,7 +2,10 @@
 
 import dataclasses
 import json
+import os
 import struct
+import subprocess
+import sys
 import typing
 from pathlib import Path
 
@@ -244,6 +247,26 @@ class TestGradcheckCommand:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: gradcheck needs at least 1 model")
         assert "max relative error" not in captured.out
+
+
+class TestEntryPoint:
+    # cli.main is what the installed `sadnet` script runs; the other tests call cli.run
+    @staticmethod
+    def sadnet(*argv):
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        return subprocess.run([sys.executable, "-m", "sadnet.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    def test_validation_error_exits_1(self):
+        out = self.sadnet("gradcheck", "--models", "0")
+        assert out.returncode == 1
+        assert [line for line in out.stderr.splitlines() if line.startswith("error:")] == [
+            "error: gradcheck needs at least 1 model, got 0"]
+
+    def test_fixtures_exits_0(self, tmp_path):
+        out = self.sadnet("fixtures", "--out-dir", str(tmp_path / "fx"))
+        assert out.returncode == 0, out.stderr
+        assert len(load_cifar10(tmp_path / "fx" / "cifar10")[0]) == 20
 
 
 class TestTrainCommand:

@@ -2,6 +2,7 @@
 
 import gzip
 import hashlib
+import os
 import re
 
 import numpy as np
@@ -104,6 +105,43 @@ class TestLoadIdx:
             np.testing.assert_array_equal(ds.images, want.images)
             np.testing.assert_array_equal(ds.labels, want.labels)
             assert (ds.class_count, ds.name) == (10, f"fashion-mnist-{split}")
+
+
+class TestWriteIdx:
+    def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch):
+        path = write_idx_images(tmp_path / "imgs", np.zeros((2, 4, 3), dtype=np.uint8))
+        old = path.read_bytes()
+
+        def fail(*args):
+            raise OSError("write failed")
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="write failed"):
+            write_idx_images(path, np.full((3, 4, 3), 255, dtype=np.uint8))
+        monkeypatch.undo()
+        assert path.read_bytes() == old
+        assert list(tmp_path.iterdir()) == [path]
+
+
+class TestLabeledDataset:
+    @pytest.mark.parametrize("images,labels,error,match", [
+        (np.zeros((2, 4, 4)), [0, 1], ValidationError, r"images must be \(N, C, H, W\)"),
+        (np.zeros((2, 1, 4, 4)), [0, 1, 1], ConsistencyError, "2 images but 3 labels"),
+        (np.zeros((2, 1, 4, 4)), [0, 3], ValidationError, r"labels must lie in \[0, 3\)"),
+        (np.zeros((2, 1, 4, 4)), [-1, 0], ValidationError, r"labels must lie in \[0, 3\)"),
+    ], ids=["rank", "count", "label-high", "label-negative"])
+    def test_refuses_malformed_sets(self, images, labels, error, match):
+        with pytest.raises(error, match=match):
+            LabeledDataset(images, labels, 3)
+
+    def test_numpy_class_count_becomes_int(self):
+        labels = np.array([0, 2, 1])
+        ds = LabeledDataset(np.zeros((3, 1, 2, 2)), labels, labels.max() + 1)
+        assert ds.class_count == 3 and type(ds.class_count) is int
+
+    @pytest.mark.parametrize("class_count", [3.0, "3", True], ids=["float", "str", "bool"])
+    def test_class_count_of_wrong_type(self, class_count):
+        with pytest.raises(ValidationError, match="class_count must be an int"):
+            LabeledDataset(np.zeros((2, 1, 2, 2)), [0, 1], class_count)
 
 
 class TestLoadCifar10:

@@ -6,6 +6,7 @@ fast; the full-size campaigns live in the acceptance suite.
 
 import json
 import math
+import os
 import struct
 from dataclasses import asdict, astuple
 
@@ -61,6 +62,35 @@ class TestTrainConfig:
         ds = LabeledDataset(np.zeros((2, 1, 4, 6)), [0, 1], 2)
         with pytest.raises(ValidationError, match="square images, got 4x6"):
             new_model(blob_config(model_kind="cnn"), ds)
+
+    @pytest.mark.parametrize("field,value", [("batch_size", 2.5), ("hidden", "8"), ("epochs", True),
+                                             ("lr", "0.1"), ("seed", None)])
+    def test_value_of_wrong_type(self, field, value):
+        with pytest.raises(ValidationError, match=f"{field} must be"):
+            TrainConfig(**{field: value})
+
+    def test_int_in_float_field_stays_as_given(self):
+        # so a config header that records lr=1 keeps its bytes, and its run id
+        cfg = TrainConfig(lr=1, stop_at_train_acc=1)
+        assert type(cfg.lr) is int and type(cfg.stop_at_train_acc) is int
+
+    def test_numpy_scalars_train_like_python_numbers(self, blob_pair):
+        train_ds, test_ds = blob_pair
+        runs = []
+        for cfg in (blob_config(seed=1, hidden=8, lr=0.003),
+                    blob_config(seed=np.int64(1), hidden=np.int32(8), lr=np.float64(0.003))):
+            assert type(cfg.seed) is int and type(cfg.hidden) is int and type(cfg.lr) is float
+            runs.append(train(new_model(cfg, train_ds), train_ds, train_ds, test_ds, cfg)[1])
+        assert runs[0].run_id == runs[1].run_id
+        assert runs[0].deterministic_payload() == runs[1].deterministic_payload()
+
+    def test_numpy_class_count_trains(self, tmp_path):
+        rng = np.random.default_rng(3)
+        labels = rng.integers(0, 3, size=12)
+        ds = LabeledDataset(rng.uniform(size=(12, 1, 1, 4)), labels, labels.max() + 1)
+        cfg = blob_config(epochs=1, hidden=4)
+        cp, rec = train(new_model(cfg, ds), ds, ds, ds, cfg, out_dir=tmp_path)
+        assert load_checkpoint(tmp_path / rec.run_id / "clean.ckpt").arch == cp.arch
 
     def test_run_id_deterministic(self):
         cfg = blob_config()
@@ -412,6 +442,10 @@ class TestLoadDatasets:
         with pytest.raises(ValidationError, match="acceptance"):
             load_datasets(TrainConfig(dataset="acceptance"), tmp_path)
 
+    def test_missing_data_dir_refused(self, tmp_path):
+        with pytest.raises(ValidationError, match="data dir not found"):
+            load_datasets(TrainConfig(dataset="mnist"), tmp_path / "absent")
+
     def test_real_set_needs_data_dir(self):
         with pytest.raises(ValidationError, match="dataset 'mnist' is read from files, but no data_dir"):
             load_datasets(TrainConfig(dataset="mnist"), None)
@@ -581,7 +615,7 @@ class TestCheckpointIO:
         np.testing.assert_array_equal(new_model(cfg, train_ds).theta, w_init)
 
     @pytest.mark.parametrize("module,attr", [(experiment.struct, "pack"),
-                                             (experiment.os, "replace")],
+                                             (os, "replace")],
                              ids=["pack", "replace"])
     def test_failed_write_keeps_old_checkpoint(self, blob_pair, tmp_path, monkeypatch,
                                                module, attr):

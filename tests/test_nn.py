@@ -158,6 +158,11 @@ class TestCrossEntropy:
             want[i, lab] -= 1.0
         np.testing.assert_allclose(loss.logit_gradient, want / 3.0, atol=1e-12)
 
+    @pytest.mark.parametrize("labels", [np.array([0]), np.array([[0], [1]])], ids=["short", "2-d"])
+    def test_label_shape_mismatch(self, labels):
+        with pytest.raises(ShapeError, match="does not match batch 2"):
+            nn.cross_entropy(np.zeros((2, 3)), labels)
+
     def test_label_out_of_range(self):
         with pytest.raises(ValidationError):
             nn.cross_entropy(np.zeros((2, 3)), np.array([0, 3]))
@@ -320,6 +325,17 @@ class TestXavier:
         conv1 = model.layers[0]
         a = math.sqrt(6.0 / (1 * 25 + 16 * 25))
         assert np.abs(conv1.kernels).max() <= a
+
+    def test_custom_layer_with_parameters_has_no_fan_rule(self):
+        class Scale(nn.Layer):
+            kind = "scale"
+
+            def __init__(self):
+                super().__init__((4,), (4,))
+
+        model = nn.Model([Scale()], (4,), 4, {"kind": "custom"})
+        with pytest.raises(ValidationError, match="no fan rule for layer kind scale"):
+            nn.init_xavier_uniform(model, np.random.default_rng(0))
 
     def test_biases_zero(self):
         model = nn.build_mlp(6, 4, 3)

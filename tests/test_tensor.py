@@ -72,6 +72,12 @@ class TestMatmul:
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
             T.matmul(np.zeros((2, 3)), np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("a,b", [(np.zeros(3), np.zeros((3, 2))), (np.zeros((2, 3)), np.zeros((1, 3, 2)))],
+                             ids=["1-d", "3-d"])
+    def test_operands_must_be_2d(self, a, b):
+        with pytest.raises(ShapeError, match="matmul needs 2-d operands"):
+            T.matmul(a, b)
+
     def test_matches_triple_loop_oracle(self):
         rng = np.random.default_rng(42)
         for _ in range(5):
@@ -163,6 +169,16 @@ class TestConv2d:
         kernels[0, 2, 0, 0] = 1.0
         out = conv2d_one(x, kernels, np.zeros(1), pad=0)
         np.testing.assert_array_equal(out[0], x[2])
+
+    @pytest.mark.parametrize("x,kernels,bias,match", [
+        (np.zeros((1, 4, 4)), np.zeros((2, 1, 3, 3)), np.zeros(2), r"needs x \(B,C,H,W\)"),
+        (np.zeros((1, 1, 4, 4)), np.zeros((2, 3, 3)), np.zeros(2), r"needs x \(B,C,H,W\)"),
+        (np.zeros((1, 1, 4, 4)), np.zeros((2, 3, 3, 3)), np.zeros(2), "input has 1, kernels expect 3"),
+        (np.zeros((1, 1, 4, 4)), np.zeros((2, 1, 3, 3)), np.zeros(3), r"bias must be \(2,\)"),
+    ], ids=["x-rank", "kernel-rank", "channels", "bias"])
+    def test_malformed_operands(self, x, kernels, bias, match):
+        with pytest.raises(ShapeError, match=match):
+            T.conv2d_batch(x, kernels, bias, 1)
 
     def test_non_positive_output_extent(self):
         with pytest.raises(ShapeError):
