@@ -151,15 +151,13 @@ def _cmd_run(ns) -> int:
     train_ds, test_ds = load_datasets(cfg, ns.data_dir)
     on_epoch = _progress_printer(ns.progress)
     if sad is not None:
-        cp, record = escape_run(sad, train_ds, test_ds, cfg, out_dir=ns.out_dir, on_epoch=on_epoch)
+        _, record = escape_run(sad, train_ds, test_ds, cfg, out_dir=ns.out_dir, on_epoch=on_epoch)
     elif ns.subcommand == "sadpoint":
-        cp, record = construct_sad_point(train_ds, test_ds, cfg, out_dir=ns.out_dir, on_epoch=on_epoch)
+        _, record = construct_sad_point(train_ds, test_ds, cfg, out_dir=ns.out_dir, on_epoch=on_epoch)
     else:
-        cp, record = train(new_model(cfg, train_ds), train_ds, train_ds, test_ds, cfg,
-                           out_dir=ns.out_dir, on_epoch=on_epoch)
+        _, record = train(new_model(cfg, train_ds), train_ds, train_ds, test_ds, cfg,
+                          out_dir=ns.out_dir, on_epoch=on_epoch)
     _summarize(record)
-    if ns.subcommand == "sadpoint":
-        print(f"saturated: {cp.flags.get('saturated')}")
     return 0
 
 

@@ -128,11 +128,7 @@ class TrainConfig:
         if self.model_kind not in nn.MODEL_KINDS:
             kinds = " or ".join(map(repr, nn.MODEL_KINDS))
             raise ValidationError(f"model_kind must be {kinds}, got {self.model_kind!r}")
-        if self.optimizer not in optim.KINDS:
-            kinds = " or ".join(map(repr, optim.KINDS))
-            raise ValidationError(f"optimizer must be {kinds}, got {self.optimizer!r}")
-        if not (math.isfinite(self.lr) and self.lr > 0):
-            raise ValidationError(f"lr must be positive and finite, got {self.lr}")
+        optim.check_settings(self.optimizer, self.lr)
         if self.batch_size < 1:
             raise ValidationError(f"batch_size must be positive, got {self.batch_size}")
         for name in ("epochs", "seed", "data_seed"):
@@ -210,7 +206,6 @@ class Checkpoint:
     theta: np.ndarray
     config: dict
     tag: str
-    flags: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not _PLAIN_NAME.fullmatch(self.tag):
@@ -242,8 +237,8 @@ def _canon_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def checkpoint_of(model: nn.Model, cfg: TrainConfig, tag: str, flags: dict | None = None) -> Checkpoint:
-    return Checkpoint(dict(model.arch), model.theta.copy(), asdict(cfg), tag, flags or {})
+def checkpoint_of(model: nn.Model, cfg: TrainConfig, tag: str) -> Checkpoint:
+    return Checkpoint(dict(model.arch), model.theta.copy(), asdict(cfg), tag)
 
 
 def run_id_for(config: dict, tag: str, init_hash: str) -> str:
@@ -289,10 +284,8 @@ def train(model: nn.Model, train_ds: LabeledDataset, eval_train: LabeledDataset,
     cfg.stop_at_train_acc; a sad-point run stops only once both the epoch's running accuracy
     (each step's hits, before its update) is at least that target - 0.01 and the end-of-epoch
     accuracy on train_ds reaches the target. With cfg.epochs == 0 no step is taken: rows stay
-    empty and the returned weights are the start weights. The returned checkpoint's
-    'saturated' flag records whether the last clean metrics meet accuracy >= 0.98 on
-    eval_train and <= 2/k on eval_test. With out_dir, the run directory gets the
-    metrics and the init and final checkpoints. A step is one nn.full_pass, so a batch
+    empty and the returned weights are the start weights. With out_dir, the run directory
+    gets the metrics and the init and final checkpoints. A step is one nn.full_pass, so a batch
     above nn.PASS_BATCH examples steps on its mean gradient summed over slices. A
     non-finite loss or metric is never recorded: it raises DivergenceError carrying
     the record so far, and nothing is written.
@@ -352,9 +345,7 @@ def train(model: nn.Model, train_ds: LabeledDataset, eval_train: LabeledDataset,
             if reached:
                 break
 
-    last = asdict(record.rows[-1]) if record.rows else record.init_metrics
-    saturated = bool(last["train_acc"] >= 0.98 and last["test_acc"] <= 2.0 / model.class_count)
-    cp = checkpoint_of(model, cfg, tag, flags={"saturated": saturated})
+    cp = checkpoint_of(model, cfg, tag)
     if out_dir:
         record.run_dir = str(persist_run(out_dir, record, [init_cp, cp]))
     return cp, record
@@ -368,11 +359,8 @@ def construct_sad_point(train_ds: LabeledDataset, test_ds: LabeledDataset,
 
     Unless cfg sets its own stop_at_train_acc, training stops at default_stop under
     train's two-gate rule (pass None to always run the full epoch budget, which
-    minimizes more deeply). An unsaturated run (see train's 'saturated' flag) is
-    returned, not raised.
+    minimizes more deeply).
     """
-    if train_ds.class_count != test_ds.class_count:
-        raise ConsistencyError("train/test class counts differ")
     corrupted_test = corrupt_labels(test_ds, corruption_rng(cfg.seed))
     corrupted_train = build_corrupted_train(train_ds, corrupted_test)
     if cfg.stop_at_train_acc is None and default_stop is not None:
@@ -460,7 +448,6 @@ def save_checkpoint(cp: Checkpoint, path) -> Path:
         "arch": cp.arch,
         "tag": cp.tag,
         "config": cp.config,
-        "flags": cp.flags,
         "checksum": hashlib.sha256(payload).hexdigest(),
     }
     header_bytes = _canon_json(header).encode()
@@ -480,14 +467,12 @@ def _check_header(path, header) -> None:
             raise FormatError(f"{path}: header lacks {key!r}")
         if not isinstance(header[key], kind):
             raise FormatError(f"{path}: header {key!r} is not a {kind.__name__}")
-    if not isinstance(header.get("flags", {}), dict):
-        raise FormatError(f"{path}: header 'flags' is not a dict")
     if not _PLAIN_NAME.fullmatch(header["tag"]):
         raise FormatError(f"{path}: header 'tag' {header['tag']!r} is not a plain name")
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read a SADNETv1 file; the shapes and seed that older headers carry are ignored."""
+    """Read a SADNETv1 file; the shapes, seed and flags that older headers carry are ignored."""
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
@@ -515,8 +500,7 @@ def load_checkpoint(path) -> Checkpoint:
     if len(payload) != need:
         raise FormatError(f"{path}: payload holds {len(payload)} bytes, arch needs {need}")
     theta = np.frombuffer(payload, dtype="<f8").astype(np.float64)
-    return Checkpoint(header["arch"], theta, header["config"], header["tag"],
-                      header.get("flags", {}))
+    return Checkpoint(header["arch"], theta, header["config"], header["tag"])
 
 
 def persist_run(out_dir, record: RunRecord, checkpoints: list[Checkpoint]) -> Path:

@@ -18,7 +18,6 @@ EPS = 1e-8
 # Elements per Adam block: the block's slices of theta, grad, m, v and the two
 # scratch vectors (256 KiB each) stay in a core's L2 cache between passes.
 BLOCK = 1 << 15
-KINDS = ("adam", "sgd")
 
 
 @dataclass
@@ -38,11 +37,7 @@ class OptimizerState:
     scratch: tuple[np.ndarray, np.ndarray] | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            kinds = " or ".join(map(repr, KINDS))
-            raise ValidationError(f"optimizer kind must be {kinds}, got {self.kind!r}")
-        if not (math.isfinite(self.lr) and self.lr > 0):
-            raise ValidationError(f"learning rate must be positive and finite, got {self.lr}")
+        check_settings(self.kind, self.lr)
 
 
 def _require_grads(model: Model):
@@ -89,8 +84,18 @@ def adam_step(model: Model, state: OptimizerState) -> None:
         model.theta[lo:hi] -= update
 
 
+_STEPS = {"adam": adam_step, "sgd": sgd_step}
+KINDS = tuple(_STEPS)
+
+
+def check_settings(kind: str, lr: float) -> None:
+    """The one optimizer rule, worded after TrainConfig's fields: a known kind, a positive finite lr."""
+    if kind not in KINDS:
+        kinds = " or ".join(map(repr, KINDS))
+        raise ValidationError(f"optimizer must be {kinds}, got {kind!r}")
+    if not (math.isfinite(lr) and lr > 0):
+        raise ValidationError(f"lr must be positive and finite, got {lr}")
+
+
 def step(model: Model, state: OptimizerState) -> None:
-    if state.kind == "adam":
-        adam_step(model, state)
-    else:
-        sgd_step(model, state)
+    _STEPS[state.kind](model, state)

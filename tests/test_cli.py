@@ -424,7 +424,6 @@ class TestPipelineCommands:
         assert code == 0
         stdout = capsys.readouterr().out
         assert "sad:" in stdout
-        assert "saturated: True" in stdout
         run_dir = find_run_dir(out)
         sad_path = run_dir / "sad.ckpt"
         assert sad_path.exists()

@@ -266,7 +266,6 @@ class TestSadPointAndEscape:
         assert last.train_acc >= 0.98
         # k = 2: every test label flipped and memorized -> near zero accuracy
         assert last.test_acc <= 0.1
-        assert cp.flags["saturated"]
 
     def test_sad_corrupted_set_reconstructible(self, blob_pair):
         # the corruption draw depends only on cfg.seed, so bookkeeping
@@ -317,21 +316,6 @@ class TestSadPointAndEscape:
         init_config = load_checkpoint(run_dir / "init.ckpt").config
         assert init_config == load_checkpoint(run_dir / "sad.ckpt").config == header["config"]
         assert init_config["stop_at_train_acc"] == 0.995
-
-    def test_every_final_checkpoint_flags_saturation(self, blob_pair, tmp_path):
-        train_ds, test_ds = blob_pair
-        cfg = blob_config(epochs=2)
-        runs = [train(new_model(cfg, train_ds), train_ds, train_ds, test_ds, cfg, out_dir=tmp_path),
-                construct_sad_point(train_ds, test_ds, cfg, out_dir=tmp_path)]
-        runs += [escape_run(runs[1][0], train_ds, test_ds, blob_config(epochs=n), out_dir=tmp_path)
-                 for n in (0, 2)]
-        for cp, rec in runs:
-            last = asdict(rec.rows[-1]) if rec.rows else rec.init_metrics
-            expected = last["train_acc"] >= 0.98 and last["test_acc"] <= 2 / train_ds.class_count
-            assert cp.flags["saturated"] is expected
-            saved = load_checkpoint(tmp_path / rec.run_id / f"{cp.tag}.ckpt")
-            assert saved.flags["saturated"] is expected
-        assert [cp.tag for cp, _ in runs] == ["clean", "sad", "escaped", "escaped"]
 
     def test_escape_measures_distance_from_sad_point(self, blob_pair):
         train_ds, test_ds = blob_pair
@@ -555,12 +539,11 @@ class TestCheckpointIO:
         train_ds, _ = blob_pair
         cfg = blob_config()
         model = new_model(cfg, train_ds)
-        cp = checkpoint_of(model, cfg, "clean", flags={"saturated": False})
+        cp = checkpoint_of(model, cfg, "clean")
         path = save_checkpoint(cp, tmp_path / "model.ckpt")
         loaded = load_checkpoint(path)
         assert loaded.tag == "clean"
         assert loaded.arch == cp.arch
-        assert loaded.flags == {"saturated": False}
         for a, b in zip(loaded.params, cp.params):
             np.testing.assert_array_equal(a, b)
 
@@ -677,19 +660,26 @@ class TestCheckpointIO:
         with pytest.raises(CheckpointError, match="theta holds 5 values, arch needs 23"):
             use(Checkpoint(build_mlp(4, 3, 2).arch, np.zeros(5), {}, "sad"), ds)
 
-    def test_header_with_shapes_and_seed_loads(self, blob_pair, tmp_path):
-        # files written before the header dropped its shapes and seed still load
+    def test_header_with_shapes_seed_and_flags_loads(self, blob_pair, tmp_path):
+        # files written before the header dropped its shapes, seed and flags still load
         train_ds, test_ds = blob_pair
         cfg = blob_config(epochs=2)
         cp = checkpoint_of(new_model(cfg, train_ds), cfg, "sad")
         path = save_checkpoint(cp, tmp_path / "sad.ckpt")
-        self._mutate_header(path, lambda h: {**h, "seed": cfg.seed,
+        self._mutate_header(path, lambda h: {**h, "seed": cfg.seed, "flags": {"saturated": True},
                                              "shapes": [list(p.shape) for p in cp.params]})
         old = load_checkpoint(path)
         for a, b in zip(old.params, cp.params, strict=True):
             np.testing.assert_array_equal(a, b)
         escapes = [escape_run(start, train_ds, test_ds, cfg)[1] for start in (old, cp)]
         assert escapes[0].deterministic_payload() == escapes[1].deterministic_payload()
+
+    def test_header_holds_exactly_the_fields_load_reads(self, blob_pair, tmp_path):
+        cfg = blob_config()
+        path = save_checkpoint(checkpoint_of(new_model(cfg, blob_pair[0]), cfg, "sad"), tmp_path / "sad.ckpt")
+        written = {}
+        self._mutate_header(path, lambda h: written.update(h) or h)
+        assert written.keys() == experiment._HEADER_TYPES.keys()
 
     @staticmethod
     def _rewrite_header(blob_pair, tmp_path, mutate):

@@ -55,7 +55,7 @@ def write_case(path, data):
 class TestCheckpointFuzz:
     @staticmethod
     def saved(tmp_path, model, name):
-        return save_checkpoint(checkpoint_of(model, TrainConfig(), "clean", {"saturated": False}),
+        return save_checkpoint(checkpoint_of(model, TrainConfig(), "clean"),
                                tmp_path / name)
 
     @staticmethod
@@ -74,6 +74,8 @@ class TestCheckpointFuzz:
         model = build_mlp(12, 5, 3) if kind == "mlp" else build_cnn(1, 8, 3)
         path = self.saved(tmp_path, model, "model.ckpt")
         header, payload = self.split(path.read_bytes())
+        # older files also carry shapes, seed and flags, which load ignores
+        header.update(shapes=[list(s) for s in model.shapes], seed=0, flags={"saturated": False})
         cases = []
         # (container, key) for every top-level field and every arch key
         slots = [(None, key) for key in header]

@@ -7,6 +7,7 @@ import pytest
 
 from sadnet import nn
 from sadnet.errors import StateError, ValidationError
+from sadnet.experiment import TrainConfig
 from sadnet.optim import BETA1, BETA2, BLOCK, EPS, OptimizerState, adam_step, sgd_step, step
 
 
@@ -212,3 +213,13 @@ class TestAdam:
         for kind, lr in (("sgd", float("nan")), ("adam", float("inf"))):
             with pytest.raises(ValidationError):
                 OptimizerState(kind, lr)
+
+    @pytest.mark.parametrize("kind, lr", [("adagrad", 0.1), ("adam", 0.0), ("sgd", float("nan")),
+                                          ("adam", float("inf"))])
+    def test_one_wording_for_config_and_state(self, kind, lr):
+        messages = []
+        for build in (lambda: TrainConfig(optimizer=kind, lr=lr), lambda: OptimizerState(kind, lr)):
+            with pytest.raises(ValidationError) as info:
+                build()
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
