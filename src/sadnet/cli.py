@@ -60,6 +60,7 @@ def _add_training(parser: _Parser, epochs: int):
 def build_parser() -> _Parser:
     parser = _Parser(prog="sadnet", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    parser.subcommands = sub.choices  # run follows an error with the failing subcommand's usage
     for name, epochs in (("train", 30), ("sadpoint", 200), ("escape", 50)):
         _add_training(sub.add_parser(name), epochs)
     escape = sub.choices["escape"]
@@ -84,7 +85,7 @@ def _read_config_file(path: str) -> list[str]:
     keeps a value such as -1 from being read as a flag."""
     flags = []
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8-sig")  # a leading byte-order mark is dropped
     except OSError as exc:
         raise ValidationError(f"cannot read config file {path}: {exc.strerror}") from exc
     except UnicodeDecodeError:
@@ -206,7 +207,9 @@ def run(argv) -> int:
         return _COMMANDS[ns.subcommand](ns)
     except (ValidationError, ShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        print(parser.format_usage(), file=sys.stderr, end="")
+        # every option belongs to a subcommand, so argv[0] names the subcommand if any does
+        failed = parser.subcommands.get(argv[0] if argv else None, parser)
+        print(failed.format_usage(), file=sys.stderr, end="")
         return 1
     except (SadnetError, OSError) as exc:  # an OSError here comes from writing a result
         print(f"error: {exc}", file=sys.stderr)

@@ -274,21 +274,22 @@ def evaluate(model: nn.Model, ds: LabeledDataset) -> tuple[float, float]:
     return loss, hits / len(ds)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train(model: nn.Model, train_ds: LabeledDataset, eval_train: LabeledDataset,
           eval_test: LabeledDataset, cfg: TrainConfig, out_dir=None,
           tag: str = "clean", on_epoch=None) -> tuple[Checkpoint, RunRecord]:
     """Run cfg.epochs of minibatch training, recording metrics per epoch.
 
     Metrics rows are evaluated on eval_train/eval_test (the clean sets, even when
-    train_ds is corrupted). A run on eval_train stops once its row's train accuracy reaches
-    cfg.stop_at_train_acc; a sad-point run stops only once both the epoch's running accuracy
-    (each step's hits, before its update) is at least that target - 0.01 and the end-of-epoch
-    accuracy on train_ds reaches the target. With cfg.epochs == 0 no step is taken: rows stay
-    empty and the returned weights are the start weights. With out_dir, the run directory
-    gets the metrics and the init and final checkpoints. A step is one nn.full_pass, so a batch
-    above nn.PASS_BATCH examples steps on its mean gradient summed over slices. A
-    non-finite loss or metric is never recorded: it raises DivergenceError carrying
-    the record so far, and nothing is written.
+    train_ds is corrupted). With cfg.stop_at_train_acc set, every run stops after the first
+    epoch whose running accuracy (each step's hits, before its update) is at least that
+    target - 0.01 and whose end-of-epoch accuracy on train_ds reaches the target. With
+    cfg.epochs == 0 no step is taken: rows stay empty and the returned weights are the start
+    weights. With out_dir, the run directory gets the metrics and the init and final
+    checkpoints. A step is one nn.full_pass, so a batch above nn.PASS_BATCH examples steps on
+    its mean gradient summed over slices. numpy's overflow and invalid warnings are off for
+    the whole run, since finite() judges what is recorded: a non-finite loss or metric raises
+    DivergenceError carrying the record so far, and nothing is written.
     """
     if not _PLAIN_NAME.fullmatch(tag):
         raise ValidationError(f"tag {tag!r} is not a plain name")
@@ -311,10 +312,8 @@ def train(model: nn.Model, train_ds: LabeledDataset, eval_train: LabeledDataset,
             raise DivergenceError(f"non-finite {what}", record)
 
     def measure() -> tuple:
-        # clean losses, accuracies, norms; finite() judges them, so numpy warnings are off
-        with np.errstate(over="ignore", invalid="ignore"):
-            return (*evaluate(model, eval_train), *evaluate(model, eval_test),
-                    norm2(model.theta), norm2(model.theta - init_cp.theta))
+        return (*evaluate(model, eval_train), *evaluate(model, eval_test),
+                norm2(model.theta), norm2(model.theta - init_cp.theta))
 
     finite("init metrics", init := measure())
     record.init_metrics = dict(zip(("train_loss", "train_acc", "test_loss", "test_acc", "weight_norm"), init))
@@ -325,8 +324,7 @@ def train(model: nn.Model, train_ds: LabeledDataset, eval_train: LabeledDataset,
     for epoch in range(1, cfg.epochs + 1):
         hits = 0
         for xb, yb in batches(train_ds, cfg.batch_size, shuffle_seed, epoch):
-            with np.errstate(over="ignore", invalid="ignore"):
-                loss, batch_hits = nn.full_pass(model, xb, yb, grad=True)
+            loss, batch_hits = nn.full_pass(model, xb, yb, grad=True)
             finite(f"loss at epoch {epoch}", (loss,))
             hits += batch_hits
             nn.add_l2_gradients(model, cfg.l2_lambda)
@@ -336,14 +334,9 @@ def train(model: nn.Model, train_ds: LabeledDataset, eval_train: LabeledDataset,
         record.rows.append(row)
         if on_epoch is not None:
             on_epoch(row)
-        if target is not None:
-            if train_ds is eval_train:
-                reached = row.train_acc >= target
-            else:
-                # both gates decide when a sad-point run stops, not only what it costs
-                reached = hits / len(train_ds) >= target - 0.01 and evaluate(model, train_ds)[1] >= target
-            if reached:
-                break
+        # both gates decide when a run stops, not only what it costs
+        if target is not None and hits / len(train_ds) >= target - 0.01 and evaluate(model, train_ds)[1] >= target:
+            break
 
     cp = checkpoint_of(model, cfg, tag)
     if out_dir:
@@ -358,8 +351,8 @@ def construct_sad_point(train_ds: LabeledDataset, test_ds: LabeledDataset,
     saturation, and return the resulting weights tagged 'sad'.
 
     Unless cfg sets its own stop_at_train_acc, training stops at default_stop under
-    train's two-gate rule (pass None to always run the full epoch budget, which
-    minimizes more deeply).
+    train's one stop rule, its two gates measured on the corrupted set (pass None to
+    always run the full epoch budget, which minimizes more deeply).
     """
     corrupted_test = corrupt_labels(test_ds, corruption_rng(cfg.seed))
     corrupted_train = build_corrupted_train(train_ds, corrupted_test)

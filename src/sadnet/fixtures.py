@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-# the IDX writers live in data; perfbench and the tests also import them from here
+# the IDX writers live in data; only perfbench still imports them from here
 from .data import (CIFAR_TEST_FILE, CIFAR_TRAIN_FILES, MNIST_NAMES, LabeledDataset,
                    write_cifar10_file, write_idx_images, write_idx_labels)
 

@@ -24,7 +24,7 @@ from sadnet.experiment import (TrainConfig, checkpoint_of, clean_gradient_norm,
                                load_datasets, new_model, save_checkpoint, train)
 from sadnet.fixtures import synth_blobs
 from sadnet.gradcheck import gradcheck_suite
-from sadnet.nn import build_mlp, cross_entropy, init_xavier_uniform
+from sadnet.nn import cross_entropy
 
 SEEDS = (1, 2, 3, 4, 5)
 TRAIN_N, TEST_N = 4000, 1000
@@ -121,8 +121,7 @@ class TestGradientAndInit:
         x = balanced.images.reshape(100, -1)
         deviations = []
         for seed in range(10):
-            model = build_mlp(x.shape[1], 512, 10)
-            init_xavier_uniform(model, np.random.default_rng((seed, 101)))
+            model = new_model(TrainConfig(seed=seed), balanced)
             loss = cross_entropy(model.forward(x), balanced.labels)
             deviations.append(abs(loss.mean_loss - math.log(10)) / math.log(10))
         worst = max(deviations)

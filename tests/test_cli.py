@@ -55,6 +55,12 @@ class TestValidation:
         assert "epochs" in err
         assert "usage" in err
 
+    def test_usage_line_is_the_failing_subcommands(self, capsys):
+        assert run(["analyze"]) == 1
+        error, usage = capsys.readouterr().err.splitlines()
+        assert error == "error: the following arguments are required: --runs-dir"
+        assert usage.startswith("usage: sadnet analyze") and "--runs-dir" in usage
+
     def test_unknown_dataset(self, tmp_path, capsys):
         code = run(["train", "--dataset", "imagenet", "--out-dir", str(tmp_path)])
         assert code == 1
@@ -270,9 +276,12 @@ class TestEntryPoint:
 
 
 class TestTrainCommand:
-    def test_divergence_exits_2(self, tmp_path, capsys):
+    # an overflow in the forward pass, or in the L2 term and the update
+    @pytest.mark.parametrize("diverge", [dict(optimizer="sgd", lr=1e100), dict(l2=1e308)],
+                             ids=["forward", "l2"])
+    def test_divergence_exits_2(self, tmp_path, capsys, diverge):
         # no numpy warning reaches stderr ahead of the one error line
-        code = run(tiny_args("train", tmp_path, epochs=1, optimizer="sgd", lr=1e100))
+        code = run(tiny_args("train", tmp_path, epochs=1, **diverge))
         assert code == 2
         assert capsys.readouterr().err == "error: non-finite loss at epoch 1\n"
 
@@ -340,6 +349,13 @@ class TestTrainCommand:
         cfg_file.write_bytes(b"lr=\xff\xfe\n")
         assert run(["train", "--config", str(cfg_file), "--epochs", "1"]) == 1
         assert "UTF-8" in capsys.readouterr().err
+
+    def test_config_file_with_byte_order_mark(self, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_bytes(b"\xef\xbb\xbfepochs=1\nl2=0.001\n")
+        assert run(tiny_args("train", tmp_path / "runs") + ["--config", str(cfg_file)]) == 0
+        header = json.loads((find_run_dir(tmp_path / "runs") / "metrics.jsonl").read_text().splitlines()[0])
+        assert header["config"]["epochs"] == 1 and header["config"]["l2_lambda"] == 0.001
 
     def test_config_line_without_equals(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"

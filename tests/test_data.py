@@ -8,11 +8,10 @@ import re
 import numpy as np
 import pytest
 
-from sadnet.data import (LabeledDataset, batches, build_corrupted_train,
-                         corrupt_labels, load_cifar10, load_idx, load_mnist, subset)
+from sadnet.data import (LabeledDataset, batches, build_corrupted_train, corrupt_labels, load_cifar10,
+                         load_idx, load_mnist, subset, write_idx_images, write_idx_labels)
 from sadnet.errors import ConsistencyError, FormatError, ValidationError
-from sadnet.fixtures import (synth_blobs, synth_images, write_cifar10_fixture,
-                             write_idx_images, write_idx_labels, write_mnist_fixture)
+from sadnet.fixtures import synth_blobs, synth_images, write_cifar10_fixture, write_mnist_fixture
 
 
 @pytest.fixture

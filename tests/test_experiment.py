@@ -154,7 +154,9 @@ class TestTrain:
         train_ds, test_ds = blob_pair
         cfg = blob_config(epochs=100, stop_at_train_acc=0.9)
         _, rec = train(new_model(cfg, train_ds), train_ds, train_ds, test_ds, cfg)
-        assert rec.rows[-1].epoch < 100
+        # epoch 2's row already reaches the target, but its running accuracy is not yet within 0.01
+        assert rec.rows[1].train_acc == 1.0
+        assert rec.rows[-1].epoch == 3
         assert rec.rows[-1].train_acc >= 0.9
 
     def test_rows_strictly_increasing_and_bounded(self, blob_pair):
@@ -195,6 +197,13 @@ class TestTrain:
         assert record.header()["config"] == asdict(cfg)
         assert math.isfinite(record.init_metrics["train_loss"])
         assert record.rows == []
+
+    def test_overflowing_l2_term_raises(self, blob_pair):
+        # 2 * 1e308 * W is infinite, so the update is NaN: no numpy warning, a DivergenceError
+        train_ds, test_ds = blob_pair
+        cfg = blob_config(l2_lambda=1e308)
+        with pytest.raises(DivergenceError, match="non-finite loss at epoch 1"):
+            train(new_model(cfg, train_ds), train_ds, train_ds, test_ds, cfg)
 
     def test_last_step_divergence_records_nothing_non_finite(self, blob_pair, tmp_path):
         # one step per epoch: the losses the step sees stay finite, the epoch's metrics do not

@@ -11,11 +11,11 @@ import struct
 import numpy as np
 import pytest
 
-from sadnet.data import load_cifar10, load_idx
+from sadnet.data import load_cifar10, load_idx, write_idx_images, write_idx_labels
 from sadnet.errors import SadnetError
 from sadnet.experiment import (CHECKPOINT_MAGIC, TrainConfig, checkpoint_of, load_checkpoint,
                                save_checkpoint)
-from sadnet.fixtures import write_cifar10_fixture, write_idx_images, write_idx_labels
+from sadnet.fixtures import write_cifar10_fixture
 from sadnet.nn import build_cnn, build_mlp
 
 # values every header field and arch key is retyped to in turn
