@@ -121,14 +121,9 @@ def _config_from(ns) -> TrainConfig:
     return TrainConfig(**{name: value for name, value in given.items() if value is not None})
 
 
-def _progress_printer(enabled: bool):
-    if not enabled:
-        return None
-
-    def show(row):
-        print(f"epoch {row.epoch}: train_acc {row.train_acc:.4f} "
-              f"test_acc {row.test_acc:.4f}", file=sys.stderr)
-    return show
+def _print_progress(row):
+    print(f"epoch {row.epoch}: train_acc {row.train_acc:.4f} "
+          f"test_acc {row.test_acc:.4f}", file=sys.stderr)
 
 
 def _summarize(record):
@@ -150,7 +145,7 @@ def _cmd_run(ns) -> int:
     cfg = _config_from(ns)
     sad = load_checkpoint(ns.from_checkpoint) if ns.subcommand == "escape" else None
     train_ds, test_ds = load_datasets(cfg, ns.data_dir)
-    on_epoch = _progress_printer(ns.progress)
+    on_epoch = _print_progress if ns.progress else None
     if sad is not None:
         _, record = escape_run(sad, train_ds, test_ds, cfg, out_dir=ns.out_dir, on_epoch=on_epoch)
     elif ns.subcommand == "sadpoint":
@@ -211,7 +206,7 @@ def run(argv) -> int:
         failed = parser.subcommands.get(argv[0] if argv else None, parser)
         print(failed.format_usage(), file=sys.stderr, end="")
         return 1
-    except (SadnetError, OSError) as exc:  # an OSError here comes from writing a result
+    except (SadnetError, OSError, MemoryError) as exc:  # OSError: writing a result; MemoryError: sizing arrays
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

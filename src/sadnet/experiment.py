@@ -489,7 +489,10 @@ def load_checkpoint(path) -> Checkpoint:
     if hashlib.sha256(payload).hexdigest() != header["checksum"]:
         raise FormatError(f"{path}: payload checksum mismatch")
     # the arch's layers must hold the payload exactly, checked before theta is allocated
-    need = _param_count(header["arch"]) * 8
+    try:
+        need = _param_count(header["arch"]) * 8
+    except CheckpointError as exc:
+        raise CheckpointError(f"{path}: {exc}") from exc
     if len(payload) != need:
         raise FormatError(f"{path}: payload holds {len(payload)} bytes, arch needs {need}")
     theta = np.frombuffer(payload, dtype="<f8").astype(np.float64)

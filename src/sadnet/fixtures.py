@@ -70,13 +70,13 @@ def synth_images(n_train: int, n_test: int, *, data_seed: int) -> tuple[LabeledD
     return draw(n_train, "train"), draw(n_test, "test")
 
 
-def synth_blobs(n: int, *, k: int, dim: int, seed: int, name: str = "blobs") -> LabeledDataset:
+def synth_blobs(n: int, *, k: int, dim: int, seed: int) -> LabeledDataset:
     """Gaussian clusters as (n, 1, 1, dim) images; easy to memorize."""
     rng = np.random.default_rng((seed, 505))
     centers = rng.uniform(0.0, 1.0, size=(k, dim))
     labels = rng.integers(0, k, size=n)
     images = np.clip(centers[labels] + rng.normal(0.0, BLOB_SPREAD, size=(n, dim)), 0.0, 1.0)
-    return LabeledDataset(images.reshape(n, 1, 1, dim), labels, k, name)
+    return LabeledDataset(images.reshape(n, 1, 1, dim), labels, k, "blobs")
 
 
 def write_mnist_fixture(dir_path, n_train: int = 64, n_test: int = 16,

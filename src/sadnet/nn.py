@@ -10,7 +10,6 @@ gradient in one vector `grad`; each layer's params/grads are views of them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -163,18 +162,12 @@ class Model:
             layer.params = [next(params) for _ in layer.param_shapes]
             layer.grads = [next(grads) for _ in layer.param_shapes]
 
-    def prepare_batch(self, batch: np.ndarray) -> np.ndarray:
-        """Reshape (B, ...) input to the model's input shape when sizes agree."""
-        batch = np.asarray(batch, dtype=np.float64)
-        if batch.shape[1:] == self.input_shape:
-            return batch
-        want = math.prod(self.input_shape)
-        if math.prod(batch.shape[1:]) == want:
-            return batch.reshape(batch.shape[0], *self.input_shape)
-        raise ShapeError(f"batch shape {batch.shape[1:]} incompatible with model input {self.input_shape}")
-
     def forward(self, batch: np.ndarray, cache: bool = True) -> np.ndarray:
-        out = self.prepare_batch(batch)
+        """Logits of a (B, ...) batch, reshaped into the input shape when the sizes agree."""
+        out = np.asarray(batch, dtype=np.float64)
+        if math.prod(out.shape[1:]) != math.prod(self.input_shape):
+            raise ShapeError(f"batch shape {out.shape[1:]} incompatible with model input {self.input_shape}")
+        out = out.reshape(out.shape[0], *self.input_shape)
         for layer in self.layers:
             out = layer.forward(out, cache=cache)
         return out
@@ -191,19 +184,12 @@ class Model:
         return [p for layer in self.layers for p in layer.params]
 
 
-@dataclass
-class LossValue:
-    """Mean cross-entropy (nats) and its gradient w.r.t. the logits."""
-
-    mean_loss: float
-    logit_gradient: np.ndarray
-
-
 PROB_FLOOR = 1e-12  # keeps -log finite once memorization saturates
 
 
-def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> LossValue:
-    """Mean -log softmax(logits)[label] over the batch, with clipped probs."""
+def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+    """(mean loss, logit gradient): the mean -log softmax(logits)[label] over the
+    batch in nats, with clipped probs, and its gradient w.r.t. the logits."""
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels)
     b, k = logits.shape
@@ -214,10 +200,9 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> LossValue:
     probs = T.softmax(logits, axis=1)
     picked = np.clip(probs[np.arange(b), labels], PROB_FLOOR, None)
     mean_loss = float(-np.log(picked).mean())
-    grad = probs.copy()
-    grad[np.arange(b), labels] -= 1.0
-    grad /= b
-    return LossValue(mean_loss, grad)
+    probs[np.arange(b), labels] -= 1.0  # softmax made probs, so the gradient may overwrite it
+    probs /= b
+    return mean_loss, probs
 
 
 PASS_BATCH = 512  # examples per forward pass over a set
@@ -237,11 +222,11 @@ def full_pass(model: Model, images: np.ndarray, labels: np.ndarray, *,
     for start in range(0, n, PASS_BATCH):
         yb = labels[start:start + PASS_BATCH]
         logits = model.forward(images[start:start + PASS_BATCH], cache=grad)
-        loss = cross_entropy(logits, yb)
-        loss_sum += loss.mean_loss * len(yb)
+        loss, logit_gradient = cross_entropy(logits, yb)
+        loss_sum += loss * len(yb)
         hits += int((logits.argmax(axis=1) == yb).sum())
         if grad:
-            model.backward(loss.logit_gradient)
+            model.backward(logit_gradient)
         if total is not None:
             total += model.grad * len(yb)
     if total is not None:

@@ -122,8 +122,8 @@ class TestGradientAndInit:
         deviations = []
         for seed in range(10):
             model = new_model(TrainConfig(seed=seed), balanced)
-            loss = cross_entropy(model.forward(x), balanced.labels)
-            deviations.append(abs(loss.mean_loss - math.log(10)) / math.log(10))
+            loss, _ = cross_entropy(model.forward(x), balanced.labels)
+            deviations.append(abs(loss - math.log(10)) / math.log(10))
         worst = max(deviations)
         report(2, worst < 0.15,
                f"Xavier init loss within {worst:.3%} of ln 10 across 10 seeds (< 15%)")

@@ -285,6 +285,14 @@ class TestTrainCommand:
         assert code == 2
         assert capsys.readouterr().err == "error: non-finite loss at epoch 1\n"
 
+    def test_allocation_failure_exits_2(self, tmp_path, capsys):
+        # ~5.6 PiB of weights lies beyond any 64-bit address space, so it is refused at once
+        code = run(tiny_args("train", tmp_path / "runs", epochs=1, hidden=10**12))
+        assert code == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ")
+        assert not (tmp_path / "runs").exists()
+
     def test_writes_run_artifacts(self, tmp_path, capsys):
         code = run(tiny_args("train", tmp_path, epochs=2))
         assert code == 0
@@ -515,7 +523,11 @@ class TestPipelineCommands:
         capsys.readouterr()
         code = run(tiny_args("escape", out, epochs=1, **{"from_checkpoint": ckpt}))
         assert code == 2
-        assert f"{key!r} must be a positive integer" in capsys.readouterr().err
+        assert f"error: {ckpt}: " in (err := capsys.readouterr().err)
+        assert f"{key!r} must be a positive integer" in err
+        code = run(["analyze", "--runs-dir", str(out), "--out-dir", str(tmp_path / "analysis")])
+        assert code == 2
+        assert f"error: {ckpt}: " in capsys.readouterr().err
 
     def test_arch_larger_than_shapes_exits_2(self, tmp_path, capsys):
         ckpt = save_checkpoint(checkpoint_of(build_mlp(12, 5, 3), TrainConfig(), "clean"),

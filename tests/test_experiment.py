@@ -28,8 +28,8 @@ from sadnet.nn import build_mlp, init_xavier_uniform
 
 @pytest.fixture(scope="module")
 def blob_pair():
-    train_ds = synth_blobs(60, k=2, dim=32, seed=0, name="blobs-train")
-    test_ds = synth_blobs(30, k=2, dim=32, seed=1, name="blobs-test")
+    train_ds = synth_blobs(60, k=2, dim=32, seed=0)
+    test_ds = synth_blobs(30, k=2, dim=32, seed=1)
     return train_ds, test_ds
 
 

@@ -132,31 +132,38 @@ class TestForward:
 
 class TestCrossEntropy:
     def test_uniform_prediction(self):
-        loss = nn.cross_entropy(np.zeros((4, 10)), np.array([0, 3, 7, 9]))
-        assert loss.mean_loss == pytest.approx(math.log(10), rel=1e-12)
+        loss, _ = nn.cross_entropy(np.zeros((4, 10)), np.array([0, 3, 7, 9]))
+        assert loss == pytest.approx(math.log(10), rel=1e-12)
 
     def test_saturated_correct(self):
         logits = np.zeros((1, 5))
         logits[0, 2] = 1000.0
-        loss = nn.cross_entropy(logits, np.array([2]))
-        assert loss.mean_loss == pytest.approx(0.0, abs=1e-9)
-        np.testing.assert_allclose(loss.logit_gradient, 0.0, atol=1e-9)
+        loss, logit_gradient = nn.cross_entropy(logits, np.array([2]))
+        assert loss == pytest.approx(0.0, abs=1e-9)
+        np.testing.assert_allclose(logit_gradient, 0.0, atol=1e-9)
 
     def test_frozen_value(self):
         # -log(softmax([1,2,3])[2]) = -log(0.66524096)
-        loss = nn.cross_entropy(np.array([[1.0, 2.0, 3.0]]), np.array([2]))
-        assert loss.mean_loss == pytest.approx(0.40760596, abs=1e-8)
+        loss, _ = nn.cross_entropy(np.array([[1.0, 2.0, 3.0]]), np.array([2]))
+        assert loss == pytest.approx(0.40760596, abs=1e-8)
 
     def test_gradient_is_softmax_minus_onehot_over_batch(self):
         rng = np.random.default_rng(8)
         logits = rng.normal(size=(3, 4))
         labels = np.array([1, 0, 3])
-        loss = nn.cross_entropy(logits, labels)
+        _, logit_gradient = nn.cross_entropy(logits, labels)
         from sadnet.tensor import softmax
         want = softmax(logits, axis=1)
         for i, lab in enumerate(labels):
             want[i, lab] -= 1.0
-        np.testing.assert_allclose(loss.logit_gradient, want / 3.0, atol=1e-12)
+        np.testing.assert_allclose(logit_gradient, want / 3.0, atol=1e-12)
+
+    def test_returns_loss_and_gradient_leaving_logits_alone(self):
+        logits = np.random.default_rng(7).normal(size=(3, 4))
+        before = logits.copy()
+        loss, logit_gradient = nn.cross_entropy(logits, np.array([1, 0, 3]))
+        assert type(loss) is float and logit_gradient.shape == logits.shape
+        np.testing.assert_array_equal(logits, before)
 
     @pytest.mark.parametrize("labels", [np.array([0]), np.array([[0], [1]])], ids=["short", "2-d"])
     def test_label_shape_mismatch(self, labels):
@@ -212,13 +219,13 @@ class TestBackward:
         nn.init_xavier_uniform(model, rng)
         x = rng.normal(size=(16, 5))
         y = rng.integers(0, 3, size=16)
-        before = nn.cross_entropy(model.forward(x), y)
-        model.backward(before.logit_gradient)
+        before, logit_gradient = nn.cross_entropy(model.forward(x), y)
+        model.backward(logit_gradient)
         for layer in model.layers:
             for p, g in zip(layer.params, layer.grads):
                 p -= 0.05 * g
-        after = nn.cross_entropy(model.forward(x), y)
-        assert after.mean_loss < before.mean_loss
+        after, _ = nn.cross_entropy(model.forward(x), y)
+        assert after < before
 
 
 class TestFirstLayerInputGradient:
@@ -228,7 +235,7 @@ class TestFirstLayerInputGradient:
         nn.init_xavier_uniform(model, rng)
         x = rng.normal(size=(5, *model.input_shape))
         y = rng.integers(0, model.class_count, size=5)
-        return x, nn.cross_entropy(model.forward(x), y).logit_gradient
+        return x, nn.cross_entropy(model.forward(x), y)[1]
 
     @pytest.mark.parametrize("make", [lambda: nn.build_mlp(6, 5, 3),
                                       lambda: nn.build_cnn(1, 8, 4)], ids=["mlp", "cnn"])
@@ -357,8 +364,8 @@ class TestXavier:
             nn.init_xavier_uniform(model, np.random.default_rng(seed))
             x = rng.uniform(0, 1, size=(40, 64))
             y = np.repeat(np.arange(10), 4)
-            loss = nn.cross_entropy(model.forward(x), y)
-            assert abs(loss.mean_loss - math.log(10)) < 0.15 * math.log(10)
+            loss, _ = nn.cross_entropy(model.forward(x), y)
+            assert abs(loss - math.log(10)) < 0.15 * math.log(10)
 
     def test_relu_then_pool_equals_pool_then_relu(self):
         # max pooling commutes with monotone relu, so the chosen order is safe
