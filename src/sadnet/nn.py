@@ -70,8 +70,10 @@ class ReLU(Layer):
     kind = "relu"
 
     def forward(self, x, *, cache):
-        self._cache = x if cache else None
-        return T.relu(x)
+        # in place: every builder puts a ReLU after a layer that returns a fresh array
+        out = T.relu(x)
+        self._cache = out if cache else None
+        return out
 
     def backward(self, delta, *, need_dx):
         return T.relu_backward(delta, self._take_cache())
@@ -219,6 +221,8 @@ def full_pass(model: Model, images: np.ndarray, labels: np.ndarray, *,
         raise ValidationError("cannot pass over an empty set")
     loss_sum, hits = 0.0, 0
     total = np.zeros_like(model.grad) if grad and n > PASS_BATCH else None
+    # serial, not tensor.map_shares: a worker's malloc arena costs peak memory, and
+    # the layer methods a slice calls are the ones a tracer wraps on the calling thread
     for start in range(0, n, PASS_BATCH):
         yb = labels[start:start + PASS_BATCH]
         logits = model.forward(images[start:start + PASS_BATCH], cache=grad)

@@ -1,4 +1,11 @@
-"""Stochastic first-order optimizers updating a Model's parameters in place."""
+"""Stochastic first-order optimizers updating a Model's parameters in place.
+
+Adam's blocks run on every core through `tensor.map_shares`, under its
+rules: share w updates blocks w, w + WORKERS, ... with its own scratch
+pair, every coordinate gets the same numpy calls as in a serial loop, the
+step returns only after every share has finished, and a share calls numpy
+only. The update is therefore the same bits at any core count.
+"""
 
 from __future__ import annotations
 
@@ -7,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import tensor as T
 from .errors import StateError, ValidationError
 from .nn import Model
 
@@ -24,9 +32,10 @@ BLOCK = 1 << 15
 class OptimizerState:
     """Moment vectors, scratch vectors and step counter.
 
-    m/v are shaped like model.theta and the two scratch vectors hold one
-    block (at most BLOCK elements); all are allocated on the first Adam
-    step, so the state can be created before the model is initialized.
+    m/v are shaped like model.theta, and each share of an Adam step has
+    its own pair of scratch vectors holding one block (at most BLOCK
+    elements); all are allocated on the first Adam step, so the state can
+    be created before the model is initialized.
     """
 
     kind: str
@@ -34,7 +43,7 @@ class OptimizerState:
     m: np.ndarray | None = field(init=False, default=None)
     v: np.ndarray | None = field(init=False, default=None)
     t: int = field(init=False, default=0)
-    scratch: tuple[np.ndarray, np.ndarray] | None = field(init=False, default=None, repr=False)
+    scratch: list[tuple[np.ndarray, np.ndarray]] | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         check_settings(self.kind, self.lr)
@@ -58,30 +67,39 @@ def adam_step(model: Model, state: OptimizerState) -> None:
     In place on m, v and the scratch vectors; the update is
     (lr * (m / (1 - b1**t))) / (sqrt(v / (1 - b2**t)) + eps). Each block of
     BLOCK coordinates runs the whole sequence while it is in cache; every
-    coordinate gets the same operations as on the whole vector.
+    coordinate gets the same operations as on the whole vector. The blocks
+    are spread over the cores by tensor.map_shares.
     """
     _require_grads(model)
+    theta, grad = model.theta, model.grad
+    blocks = math.ceil(grad.size / BLOCK)
     if state.m is None:
-        state.m, state.v = np.zeros_like(model.grad), np.zeros_like(model.grad)
-        n = min(model.grad.size, BLOCK)
-        state.scratch = (np.empty(n), np.empty(n))
+        state.m, state.v = np.zeros_like(grad), np.zeros_like(grad)
+        n = min(grad.size, BLOCK)
+        state.scratch = [(np.empty(n), np.empty(n)) for _ in range(min(T.WORKERS, blocks))]
     state.t += 1
-    for lo in range(0, model.grad.size, BLOCK):
-        hi = lo + BLOCK
-        g, m, v = model.grad[lo:hi], state.m[lo:hi], state.v[lo:hi]
-        update, denom = (s[:g.size] for s in state.scratch)
-        m *= BETA1
-        m += np.multiply(g, 1.0 - BETA1, out=update)
-        v *= BETA2
-        np.multiply(g, 1.0 - BETA2, out=update)
-        update *= g
-        v += update
-        np.sqrt(np.divide(v, 1.0 - BETA2 ** state.t, out=denom), out=denom)
-        denom += EPS
-        np.divide(m, 1.0 - BETA1 ** state.t, out=update)
-        update *= state.lr
-        update /= denom
-        model.theta[lo:hi] -= update
+    m_all, v_all, scratch, lr = state.m, state.v, state.scratch, state.lr
+    c1, c2 = 1.0 - BETA1 ** state.t, 1.0 - BETA2 ** state.t
+
+    def share(w, block_indices):
+        for k in block_indices:
+            lo, hi = k * BLOCK, (k + 1) * BLOCK
+            g, m, v = grad[lo:hi], m_all[lo:hi], v_all[lo:hi]
+            update, denom = (s[:g.size] for s in scratch[w])
+            m *= BETA1
+            m += np.multiply(g, 1.0 - BETA1, out=update)
+            v *= BETA2
+            np.multiply(g, 1.0 - BETA2, out=update)
+            update *= g
+            v += update
+            np.sqrt(np.divide(v, c2, out=denom), out=denom)
+            denom += EPS
+            np.divide(m, c1, out=update)
+            update *= lr
+            update /= denom
+            theta[lo:hi] -= update
+
+    T.map_shares(share, blocks)
 
 
 _STEPS = {"adam": adam_step, "sgd": sgd_step}

@@ -6,9 +6,22 @@ batches (B, C, H, W). Convolution means cross-correlation (no kernel
 flip), the convention the rest of the stack assumes; it is lowered to
 one matrix product per image over that image's patch matrix (im2col,
 Chellapilla, Puri & Simard 2006).
+
+`map_shares` spreads a loop of independent items over the cores. Its
+rules: the shares are fixed by the item index alone (share w takes items
+w, w + WORKERS, ...), each item runs the same numpy calls in the same
+order as in a serial loop, the map returns only after every share has
+finished, and a share calls numpy only, never a sadnet module attribute
+(so a wrapper installed on one, such as a tracer, only ever runs on the
+calling thread). Results therefore carry the same bits at any core
+count. Its threads start at the first map that has two shares, so a
+process that forks before then copies no worker.
 """
 
 from __future__ import annotations
+
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -16,6 +29,45 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ShapeError
 
 Tensor = np.ndarray
+
+# Shares per map: one per core this process may run on.
+WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_pool: ThreadPoolExecutor | None = None
+
+
+def map_shares(share, items: int) -> None:
+    """Call share(w, range(w, items, WORKERS)) for every w whose range is not empty.
+
+    The caller runs share 0 itself and a persistent pool of WORKERS - 1
+    threads runs the others. The map returns only after every share has
+    finished, then re-raises the first error in share order. With fewer
+    than two non-empty shares, everything runs in the caller.
+    """
+    global _pool
+    workers = WORKERS
+    shares = [(w, range(w, items, workers)) for w in range(min(workers, items))]
+    if len(shares) < 2:
+        for w, indices in shares:
+            share(w, indices)
+        return
+    if _pool is None:
+        _pool = ThreadPoolExecutor(workers - 1, thread_name_prefix="sadnet-share")
+    futures = [_pool.submit(share, w, indices) for w, indices in shares[1:]]
+    try:
+        share(*shares[0])
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
+
+
+def _forget_pool() -> None:
+    # a forked child has none of the parent's threads; its first map starts its own
+    global _pool
+    _pool = None
+
+
+os.register_at_fork(after_in_child=_forget_pool)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -26,6 +78,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul needs 2-d operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul inner dimensions differ: {a.shape} x {b.shape}")
+    # one call, not map_shares: a product split by rows differs bitwise for some shapes
     return a @ b
 
 
@@ -39,18 +92,9 @@ def conv2d_batch(x: Tensor, kernels: Tensor, bias: Tensor, pad: int) -> Tensor:
     x = np.asarray(x)
     kernels = np.asarray(kernels)
     bias = np.asarray(bias)
-    if x.ndim != 4 or kernels.ndim != 4:
-        raise ShapeError(f"conv2d_batch needs x (B,C,H,W) and kernels (O,C,kh,kw), got {x.shape}, {kernels.shape}")
-    b, c, h, w = x.shape
-    o, ck, kh, kw = kernels.shape
-    if ck != c:
-        raise ShapeError(f"conv2d channel mismatch: input has {c}, kernels expect {ck}")
+    o = _conv_out_shape(x, kernels, pad)[1]
     if bias.shape != (o,):
         raise ShapeError(f"conv2d bias must be ({o},), got {bias.shape}")
-    oh = h + 2 * pad - kh + 1
-    ow = w + 2 * pad - kw + 1
-    if oh < 1 or ow < 1:
-        raise ShapeError(f"conv2d output extent {oh}x{ow} not positive for input {h}x{w}, kernel {kh}x{kw}, pad {pad}")
     out = _correlate(x, kernels, pad, pad)
     out += bias[:, None, None]
     return out
@@ -59,17 +103,30 @@ def conv2d_batch(x: Tensor, kernels: Tensor, bias: Tensor, pad: int) -> Tensor:
 def conv2d_backward_batch(x: Tensor, kernels: Tensor, pad: int, dout: Tensor):
     """Gradients of conv2d_batch: returns (dx, dkernels, dbias).
 
+    dout must have conv2d_batch's output shape for x, kernels and pad.
     Per image, dkernels accumulates dout times the transposed patch matrix.
     dx is the transposed convolution (Dumoulin & Visin, arXiv:1603.07285):
     dout correlated with the kernels flipped in space and with their two
     channel axes swapped, at padding k - 1 - pad on each axis. A pad wider
     than k - 1 crops dout by the difference instead.
     """
-    o, c, kh, kw = kernels.shape
-    oh, ow = dout.shape[2:]
+    x = np.asarray(x)
+    kernels = np.asarray(kernels)
+    dout = np.asarray(dout)
+    want = _conv_out_shape(x, kernels, pad)
+    if dout.shape != want:
+        raise ShapeError(f"conv2d dout must be {want} for x {x.shape}, kernels {kernels.shape} "
+                         f"and pad {pad}, got {dout.shape}")
+    b, o, oh, ow = want
+    kh, kw = kernels.shape[2:]
     dbias = dout.sum(axis=(0, 2, 3))
-    dk = np.zeros((o, c * kh * kw), dtype=np.float64)
-    for n, cols in _patch_matrices(x, pad, pad, kh, kw):
+    # serial: the order of this sum over images fixes dkernels' bits
+    taps = _taps(x, pad, pad, kh, kw)
+    buf = np.empty(taps.shape[1:])
+    cols = buf.reshape(-1, oh * ow)
+    dk = np.zeros((o, cols.shape[0]))
+    for n in range(b):
+        np.copyto(buf, taps[n])
         dk += dout[n].reshape(o, oh * ow) @ cols.T
     ph, pw = kh - 1 - pad, kw - 1 - pad
     cy, cx = max(-ph, 0), max(-pw, 0)
@@ -78,39 +135,55 @@ def conv2d_backward_batch(x: Tensor, kernels: Tensor, pad: int, dout: Tensor):
     return dx, dk.reshape(kernels.shape), dbias
 
 
+def _conv_out_shape(x: Tensor, kernels: Tensor, pad: int) -> tuple[int, int, int, int]:
+    """conv2d_batch's output shape (B, O, oh, ow); ShapeError for operands that do not fit."""
+    if x.ndim != 4 or kernels.ndim != 4:
+        raise ShapeError(f"conv2d needs x (B,C,H,W) and kernels (O,C,kh,kw), got {x.shape}, {kernels.shape}")
+    b, c, h, w = x.shape
+    o, ck, kh, kw = kernels.shape
+    if ck != c:
+        raise ShapeError(f"conv2d channel mismatch: input has {c}, kernels expect {ck}")
+    oh = h + 2 * pad - kh + 1
+    ow = w + 2 * pad - kw + 1
+    if oh < 1 or ow < 1:
+        raise ShapeError(f"conv2d output extent {oh}x{ow} not positive for input {h}x{w}, kernel {kh}x{kw}, pad {pad}")
+    return b, o, oh, ow
+
+
 def _correlate(x: Tensor, kernels: Tensor, ph: int, pw: int) -> Tensor:
     """Bias-free cross-correlation of x (B, C, H, W) with kernels (O, C, kh, kw).
 
     x is zero-padded by ph rows and pw columns on each edge. Each image is
-    one GEMM of the flattened kernels with its patch matrix (im2col).
+    one GEMM of the flattened kernels with its patch matrix (im2col); the
+    images are spread over the cores by map_shares, each share refilling
+    its own patch buffer.
     """
-    b, _, h, w = x.shape
-    o, _, kh, kw = kernels.shape
-    oh, ow = h + 2 * ph - kh + 1, w + 2 * pw - kw + 1
+    o = kernels.shape[0]
+    taps = _taps(x, ph, pw, *kernels.shape[2:])
+    b, oh, ow = taps.shape[0], *taps.shape[4:]
     k2 = kernels.reshape(o, -1)
-    out = np.empty((b, o, oh * ow), dtype=np.float64)
-    for n, cols in _patch_matrices(x, ph, pw, kh, kw):
-        np.matmul(k2, cols, out=out[n])
+    out = np.empty((b, o, oh * ow))
+
+    def share(_, images):
+        buf = np.empty(taps.shape[1:])
+        cols = buf.reshape(-1, oh * ow)
+        for n in images:
+            np.copyto(buf, taps[n])
+            np.matmul(k2, cols, out=out[n])
+
+    map_shares(share, b)
     return out.reshape(b, o, oh, ow)
 
 
-def _patch_matrices(x: Tensor, ph: int, pw: int, kh: int, kw: int):
-    """Yield (n, cols) for each image of x (B, C, H, W) zero-padded by ph rows and pw columns.
+def _taps(x: Tensor, ph: int, pw: int, kh: int, kw: int) -> Tensor:
+    """(B, C, kh, kw, oh, ow) view of x (B, C, H, W) zero-padded by ph rows and pw columns.
 
-    cols is the (C*kh*kw, oh*ow) patch matrix of image n: row (c, i, j)
-    holds padded channel c shifted by tap (i, j) at every output position.
-    One buffer is refilled for each image, so only one image's patches
-    are ever held; consume cols before advancing.
+    Image n's (C*kh*kw, oh*ow) patch matrix is taps[n] copied into a
+    contiguous buffer: row (c, i, j) holds padded channel c shifted by
+    tap (i, j) at every output position.
     """
     xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if ph or pw else x
-    b, c, hp, wp = xp.shape
-    oh, ow = hp - kh + 1, wp - kw + 1
-    taps = sliding_window_view(xp, (kh, kw), axis=(2, 3)).transpose(0, 1, 4, 5, 2, 3)
-    buf = np.empty((c, kh, kw, oh, ow), dtype=np.float64)
-    cols = buf.reshape(c * kh * kw, oh * ow)
-    for n in range(b):
-        np.copyto(buf, taps[n])
-        yield n, cols
+    return sliding_window_view(xp, (kh, kw), axis=(2, 3)).transpose(0, 1, 4, 5, 2, 3)
 
 
 def maxpool2d_batch(x: Tensor, window: int):
@@ -149,12 +222,17 @@ def _window_taps(x: Tensor, window: int) -> list[Tensor]:
 
 
 def relu(x: Tensor) -> Tensor:
-    return np.maximum(np.asarray(x), 0.0)
+    """max(x, 0) written over x in place; returns x."""
+    x = np.asarray(x)
+    return np.maximum(x, 0.0, out=x)
 
 
-def relu_backward(upstream: Tensor, x: Tensor) -> Tensor:
-    """Pass upstream where x > 0, zero elsewhere (gradient at 0 is 0)."""
-    return np.where(np.asarray(x) > 0.0, upstream, 0.0)
+def relu_backward(upstream: Tensor, y: Tensor) -> Tensor:
+    """Pass upstream where y > 0, zero elsewhere (gradient at 0 is 0).
+
+    y may be relu's input or its output: max(x, 0) > 0 exactly where x > 0.
+    """
+    return np.where(np.asarray(y) > 0.0, upstream, 0.0)
 
 
 def softmax(logits: Tensor, axis: int) -> Tensor:

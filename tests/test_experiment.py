@@ -13,7 +13,7 @@ from dataclasses import asdict, astuple
 import numpy as np
 import pytest
 
-from sadnet import experiment
+from sadnet import experiment, tensor
 from sadnet.data import LabeledDataset, build_corrupted_train, corrupt_labels, load_mnist, subset
 from sadnet.errors import (CheckpointError, ConsistencyError, DivergenceError,
                            FormatError, SadnetError, ValidationError)
@@ -409,6 +409,16 @@ class TestSadPointAndEscape:
             assert all(math.isfinite(v) for v in values)
         for a, b in zip(first, second):
             assert a.deterministic_payload() == b.deterministic_payload()
+
+    def test_cnn_payload_is_the_same_at_one_and_two_workers(self, monkeypatch):
+        train_ds, test_ds = synth_images(24, 12, data_seed=3)
+        cfg = TrainConfig(model_kind="cnn", lr=0.003, batch_size=16, epochs=2, seed=5)
+        payloads = []
+        for workers in (1, 2):
+            monkeypatch.setattr(tensor, "WORKERS", workers)
+            _, rec = train(new_model(cfg, train_ds), train_ds, train_ds, test_ds, cfg)
+            payloads.append(rec.deterministic_payload())
+        assert payloads[0] == payloads[1]
 
 
 class TestLoadDatasets:

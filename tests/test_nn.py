@@ -113,6 +113,22 @@ class TestForward:
         perm = rng.permutation(8)
         np.testing.assert_allclose(model.forward(x)[perm], model.forward(x[perm]), atol=1e-12)
 
+    @pytest.mark.parametrize("make", [
+        lambda: nn.build_mlp(6, 5, 3),
+        lambda: nn.build_cnn(1, 8, 4),
+        lambda: _gradcheck_model("mlp"),
+        lambda: _gradcheck_model("gradcheck-cnn"),
+    ], ids=["mlp", "cnn", "gradcheck-mlp", "gradcheck-cnn"])
+    def test_leaves_the_callers_batch_unchanged(self, make):
+        # ReLU works in place on the array the layer below returned, never on the input
+        model = make()
+        nn.init_xavier_uniform(model, np.random.default_rng(8))
+        batch = np.random.default_rng(9).normal(size=(3, math.prod(model.input_shape)))
+        before = batch.tobytes()
+        for cache in (True, False):
+            model.forward(batch, cache=cache)
+            assert batch.tobytes() == before
+
     def test_shape_mismatch(self):
         model = nn.build_mlp(6, 4, 3)
         with pytest.raises(ShapeError):
@@ -372,16 +388,16 @@ class TestXavier:
         rng = np.random.default_rng(19)
         x = rng.normal(size=(2, 3, 6, 6))
         from sadnet import tensor as T
-        a, _ = T.maxpool2d_batch(T.relu(x), 2)
+        a, _ = T.maxpool2d_batch(T.relu(x.copy()), 2)
         b = T.relu(T.maxpool2d_batch(x, 2)[0])
         np.testing.assert_array_equal(a, b)
 
 
-def _gradcheck_cnn():
+def _gradcheck_model(kind):
     rng = np.random.default_rng(0)
     while True:
         model = random_small_model(rng)
-        if model.arch["kind"] == "gradcheck-cnn":
+        if model.arch["kind"] == kind:
             return model
 
 
@@ -396,7 +412,7 @@ class TestParameterStore:
     @pytest.mark.parametrize("make", [
         lambda: nn.build_mlp(6, 5, 3),
         lambda: nn.build_cnn(1, 8, 4),
-        _gradcheck_cnn,
+        lambda: _gradcheck_model("gradcheck-cnn"),
         _restored_cnn,
     ], ids=["mlp", "cnn", "gradcheck-cnn", "checkpoint"])
     def test_layers_view_the_model_vectors_in_canonical_order(self, make):

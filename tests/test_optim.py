@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sadnet import nn
+from sadnet import tensor as T
 from sadnet.errors import StateError, ValidationError
 from sadnet.experiment import TrainConfig
 from sadnet.optim import BETA1, BETA2, BLOCK, EPS, OptimizerState, adam_step, sgd_step, step
@@ -187,8 +188,12 @@ class TestAdam:
         assert state.m.shape == state.v.shape == model.theta.shape
         assert (state.v >= 0).all()
 
-    @pytest.mark.parametrize("size", [1, BLOCK - 1, BLOCK, 3 * BLOCK + 7])
-    def test_blocks_match_whole_vector_bit_for_bit(self, size):
+    # one worker keeps the plain size as its id
+    @pytest.mark.parametrize("size, workers", [
+        pytest.param(size, workers, id=str(size) if workers == 1 else f"{size}-{workers}workers")
+        for workers in (1, 2, 3) for size in (1, BLOCK - 1, BLOCK, 3 * BLOCK + 7)])
+    def test_blocks_match_whole_vector_bit_for_bit(self, size, workers, monkeypatch):
+        monkeypatch.setattr(T, "WORKERS", workers)
         rng = np.random.default_rng(size)
         theta = rng.normal(size=size)
         model = SimpleNamespace(theta=theta.copy(), grad=np.empty(size), grads_ready=True)
@@ -203,7 +208,8 @@ class TestAdam:
             np.testing.assert_array_equal(model.theta, theta)
             np.testing.assert_array_equal(state.m, m)
             np.testing.assert_array_equal(state.v, v)
-        assert all(s.size <= BLOCK for s in state.scratch)
+        assert all(s.size <= BLOCK for pair in state.scratch for s in pair)
+        assert len(state.scratch) == min(workers, -(-size // BLOCK))
 
     def test_validation(self):
         with pytest.raises(ValidationError):

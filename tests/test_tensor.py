@@ -1,5 +1,8 @@
 """Kernel-level tests: each op against a brute-force oracle plus edge cases."""
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -222,6 +225,72 @@ class TestConv2d:
         np.testing.assert_allclose(dk, central_difference(loss, kernels), rtol=1e-7, atol=1e-9)
         np.testing.assert_allclose(db, dout.sum(axis=(0, 2, 3)))
 
+    @pytest.mark.parametrize("dout_shape", [(4, 2, 4, 4), (2, 3, 4, 4), (2, 2, 5, 4), (2, 2, 4)],
+                             ids=["batch", "channels", "height", "rank"])
+    def test_backward_refuses_a_dout_that_does_not_fit(self, dout_shape):
+        # x (2, 1, 4, 4) and kernels (2, 1, 3, 3) at pad 1 give outputs (2, 2, 4, 4)
+        with pytest.raises(ShapeError, match=r"dout must be \(2, 2, 4, 4\)"):
+            T.conv2d_backward_batch(np.zeros((2, 1, 4, 4)), np.zeros((2, 1, 3, 3)), 1,
+                                    np.zeros(dout_shape))
+
+    def test_backward_refuses_malformed_operands(self):
+        with pytest.raises(ShapeError, match="input has 1, kernels expect 3"):
+            T.conv2d_backward_batch(np.zeros((2, 1, 4, 4)), np.zeros((2, 3, 3, 3)), 1,
+                                    np.zeros((2, 2, 4, 4)))
+        with pytest.raises(ShapeError, match=r"needs x \(B,C,H,W\)"):
+            T.conv2d_backward_batch(np.zeros((1, 4, 4)), np.zeros((2, 1, 3, 3)), 1,
+                                    np.zeros((1, 2, 4, 4)))
+
+    @pytest.mark.parametrize("batch", [1, 2, 5, 128])
+    def test_same_bytes_at_any_worker_count(self, batch, monkeypatch):
+        rng = np.random.default_rng(batch)
+        x = rng.normal(size=(batch, 2, 6, 7))
+        kernels = rng.normal(size=(3, 2, 3, 3))
+        bias = rng.normal(size=3)
+        dout = rng.normal(size=(batch, 3, 6, 7))
+        results = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(T, "WORKERS", workers)
+            results.append([T.conv2d_batch(x, kernels, bias, 1).tobytes()]
+                           + [g.tobytes() for g in T.conv2d_backward_batch(x, kernels, 1, dout)])
+        assert results[1] == results[0] and results[2] == results[0]
+
+
+class TestMapShares:
+    def test_shares_are_strided_and_one_share_stays_in_the_caller(self, monkeypatch):
+        monkeypatch.setattr(T, "WORKERS", 3)
+        seen = {}
+
+        def share(w, items):
+            seen[w] = (list(items), threading.current_thread())
+
+        T.map_shares(share, 8)
+        assert {w: items for w, (items, _) in seen.items()} == {0: [0, 3, 6], 1: [1, 4, 7],
+                                                                2: [2, 5]}
+        assert seen[0][1] is threading.current_thread()
+        assert seen[1][1] is not threading.current_thread()
+        seen.clear()
+        T.map_shares(share, 1)
+        assert seen == {0: ([0], threading.current_thread())}
+        T.map_shares(share, 0)
+        assert seen == {0: ([0], threading.current_thread())}
+
+    def test_first_error_reaches_the_caller_after_every_share_finished(self, monkeypatch):
+        monkeypatch.setattr(T, "WORKERS", 4)
+        finished = []
+
+        def share(w, _):
+            if w == 1:
+                raise ValueError("share 1")
+            time.sleep(0.05)
+            finished.append(w)
+            if w == 3:
+                raise ValueError("share 3")
+
+        with pytest.raises(ValueError, match="share 1"):
+            T.map_shares(share, 4)
+        assert sorted(finished) == [0, 2, 3]
+
 
 def argmax_oracle(x, window):
     """Row-major position of the first maximum of each window, by scanning."""
@@ -302,6 +371,9 @@ class TestReluSoftmaxNormAxpy:
     def test_relu_examples(self):
         np.testing.assert_array_equal(T.relu(np.array([-1.0, 0.0, 2.0])), [0.0, 0.0, 2.0])
         np.testing.assert_array_equal(T.relu(np.array([-3.0, -1.0])), [0.0, 0.0])
+        x = np.array([-1.0, 0.5])
+        assert T.relu(x) is x
+        np.testing.assert_array_equal(x, [0.0, 0.5])
 
     def test_relu_backward_gate(self):
         np.testing.assert_array_equal(T.relu_backward(np.array([5.0]), np.array([3.0])), [5.0])
