@@ -15,12 +15,15 @@ finished, and a share calls numpy only, never a sadnet module attribute
 (so a wrapper installed on one, such as a tracer, only ever runs on the
 calling thread). Results therefore carry the same bits at any core
 count. Its threads start at the first map that has two shares, so a
-process that forks before then copies no worker.
+process that forks before then copies no worker. Three loops use it:
+Adam's blocks, the per-image conv GEMMs and the column panels of a wide
+`matmul` (panel blocking as in Goto & van de Geijn, ACM TOMS 2008).
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
@@ -32,7 +35,11 @@ Tensor = np.ndarray
 
 # Shares per map: one per core this process may run on.
 WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+# Columns per panel of a wide matmul; 256 measured fastest for the MLP's products.
+PANEL = 256
 _pool: ThreadPoolExecutor | None = None
+# in_share is True on a thread while it runs a share
+_local = threading.local()
 
 
 def map_shares(share, items: int) -> None:
@@ -41,24 +48,34 @@ def map_shares(share, items: int) -> None:
     The caller runs share 0 itself and a persistent pool of WORKERS - 1
     threads runs the others. The map returns only after every share has
     finished, then re-raises the first error in share order. With fewer
-    than two non-empty shares, everything runs in the caller.
+    than two non-empty shares, or when called from inside a share,
+    everything runs in the caller, share by share.
     """
     global _pool
     workers = WORKERS
     shares = [(w, range(w, items, workers)) for w in range(min(workers, items))]
-    if len(shares) < 2:
+    # a map inside a share stays in it: the pool's threads may all be waiting on this one
+    if len(shares) < 2 or getattr(_local, "in_share", False):
         for w, indices in shares:
             share(w, indices)
         return
     if _pool is None:
-        _pool = ThreadPoolExecutor(workers - 1, thread_name_prefix="sadnet-share")
+        _pool = ThreadPoolExecutor(workers - 1, thread_name_prefix="sadnet-share",
+                                   initializer=_enter_share)
     futures = [_pool.submit(share, w, indices) for w, indices in shares[1:]]
+    _local.in_share = True
     try:
         share(*shares[0])
     finally:
+        _local.in_share = False
         wait(futures)
     for future in futures:
         future.result()
+
+
+def _enter_share() -> None:
+    # a pool thread only ever runs shares
+    _local.in_share = True
 
 
 def _forget_pool() -> None:
@@ -71,15 +88,33 @@ os.register_at_fork(after_in_child=_forget_pool)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of a (m, k) and b (k, n)."""
+    """Matrix product of a (m, k) and b (k, n).
+
+    A product at least 2 * PANEL columns wide is cut into column panels of
+    PANEL columns (the last may be narrower), which map_shares spreads over
+    the cores; panel i is one BLAS call, a @ b[:, i*PANEL:(i+1)*PANEL]. The
+    cut depends on n alone, so the bits do not depend on the core count.
+    """
     a = np.asarray(a)
     b = np.asarray(b)
     if a.ndim != 2 or b.ndim != 2:
         raise ShapeError(f"matmul needs 2-d operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul inner dimensions differ: {a.shape} x {b.shape}")
-    # one call, not map_shares: a product split by rows differs bitwise for some shapes
-    return a @ b
+    n, panel = b.shape[1], PANEL
+    if n < 2 * panel:
+        # one call: a narrower product has fewer than two full panels, and a split
+        # by rows would change the bits of the logits layer's 128x512 @ 512x10
+        return a @ b
+    out = np.empty((a.shape[0], n), dtype=np.result_type(a, b))
+
+    def share(_, panels):
+        for i in panels:
+            cols = slice(i * panel, (i + 1) * panel)
+            np.matmul(a, b[:, cols], out=out[:, cols])
+
+    map_shares(share, -(-n // panel))
+    return out
 
 
 def conv2d_batch(x: Tensor, kernels: Tensor, bias: Tensor, pad: int) -> Tensor:

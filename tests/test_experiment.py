@@ -8,7 +8,10 @@ import json
 import math
 import os
 import struct
+import subprocess
+import sys
 from dataclasses import asdict, astuple
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -419,6 +422,45 @@ class TestSadPointAndEscape:
             _, rec = train(new_model(cfg, train_ds), train_ds, train_ds, test_ds, cfg)
             payloads.append(rec.deterministic_payload())
         assert payloads[0] == payloads[1]
+
+    def test_mlp_payload_is_the_same_at_one_and_two_workers(self, monkeypatch):
+        # the 784-512-10 MLP: its first layer's products are cut into column panels
+        train_ds, test_ds = synth_images(24, 12, data_seed=3)
+        cfg = TrainConfig(batch_size=16, epochs=2, seed=5)
+        payloads = []
+        for workers in (1, 2):
+            monkeypatch.setattr(tensor, "WORKERS", workers)
+            _, rec = train(new_model(cfg, train_ds), train_ds, train_ds, test_ds, cfg)
+            payloads.append(rec.deterministic_payload())
+        assert payloads[0] == payloads[1]
+
+    def test_payload_is_the_same_at_one_and_two_blas_threads(self):
+        # each child asks for a BLAS thread count before importing sadnet, which pins one;
+        # the weights are hashed too, since 2 epochs move the metrics less than their last digit
+        script = (
+            "import hashlib, os\n"
+            "import sadnet\n"
+            "from sadnet import tensor\n"
+            "from sadnet.experiment import TrainConfig, new_model, train\n"
+            "from sadnet.fixtures import synth_images\n"
+            "tensor.WORKERS = min(tensor.WORKERS, 2)\n"
+            "print(*(os.environ[v] for v in ('OPENBLAS_NUM_THREADS', 'OMP_NUM_THREADS', "
+            "'MKL_NUM_THREADS')))\n"
+            "train_ds, test_ds = synth_images(256, 64, data_seed=3)\n"
+            "cfg = TrainConfig(epochs=2, seed=5)\n"
+            "cp, rec = train(new_model(cfg, train_ds), train_ds, train_ds, test_ds, cfg)\n"
+            "print(hashlib.sha256(rec.deterministic_payload() + cp.theta.tobytes()).hexdigest())\n")
+        src = str(Path(experiment.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("2", "1"):
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
+                   "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+            out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                 text=True, timeout=120)
+            assert out.returncode == 0, out.stderr
+            outputs.append(out.stdout.splitlines())
+        assert outputs[0][0] == outputs[1][0] == "1 1 1"
+        assert outputs[0][1] == outputs[1][1]
 
 
 class TestLoadDatasets:

@@ -91,6 +91,40 @@ class TestMatmul:
             rel = np.linalg.norm(got - want) / np.linalg.norm(want)
             assert rel < 1e-13
 
+    # the MLP's products (forward, x.T @ delta, an evaluate slice) and widths with a short last panel
+    @pytest.mark.parametrize("m, k, n, transposed", [
+        (128, 784, 512, False), (784, 128, 512, True), (512, 784, 512, False),
+        (64, 100, 2 * T.PANEL + 1, False), (64, 100, 700, False)])
+    def test_panels_give_the_same_bytes_at_any_worker_count(self, m, k, n, transposed, monkeypatch):
+        rng = np.random.default_rng(n)
+        a = rng.normal(size=(k, m)).T if transposed else rng.normal(size=(m, k))
+        b = rng.normal(size=(k, n))
+        results = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(T, "WORKERS", workers)
+            results.append(T.matmul(a, b))
+        assert results[1].tobytes() == results[0].tobytes() == results[2].tobytes()
+        np.testing.assert_allclose(results[0], a @ b, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("n, panels", [(2 * T.PANEL - 1, None), (2 * T.PANEL, 2),
+                                           (2 * T.PANEL + 1, 3)])
+    def test_only_a_product_two_panels_wide_is_cut(self, n, panels, monkeypatch):
+        maps = []
+        monkeypatch.setattr(T, "map_shares", lambda share, items: (maps.append(items),
+                                                                   share(0, range(items))))
+        rng = np.random.default_rng(0)
+        a, b = rng.normal(size=(3, 4)), rng.normal(size=(4, n))
+        got = T.matmul(a, b)
+        assert maps == ([] if panels is None else [panels])
+        if panels is None:
+            assert got.tobytes() == (a @ b).tobytes()
+
+    def test_shape_errors_fire_for_a_wide_product(self):
+        with pytest.raises(ShapeError, match="inner dimensions differ"):
+            T.matmul(np.zeros((2, 3)), np.zeros((2, 2 * T.PANEL)))
+        with pytest.raises(ShapeError, match="matmul needs 2-d operands"):
+            T.matmul(np.zeros((2, 3)), np.zeros((1, 3, 2 * T.PANEL)))
+
 
 def conv2d_one(x, kernels, bias, pad=0):
     """conv2d_batch on a single (C, H, W) image."""
@@ -274,6 +308,29 @@ class TestMapShares:
         assert seen == {0: ([0], threading.current_thread())}
         T.map_shares(share, 0)
         assert seen == {0: ([0], threading.current_thread())}
+
+    def test_a_map_inside_a_share_runs_in_that_share(self, monkeypatch):
+        # with one pool thread, a nested map that waited on the pool would never return
+        monkeypatch.setattr(T, "WORKERS", 2)
+        monkeypatch.setattr(T, "_pool", None)
+        seen = []
+
+        def inner(w, items):
+            seen.append((w, list(items), threading.current_thread()))
+
+        def outer(w, _):
+            T.map_shares(inner, 2)
+            outer_threads[w] = threading.current_thread()
+
+        outer_threads = {}
+        caller = threading.Thread(target=T.map_shares, args=(outer, 2), daemon=True)
+        caller.start()
+        caller.join(timeout=30)
+        assert not caller.is_alive()
+        assert sorted(outer_threads) == [0, 1]
+        for w in (0, 1):
+            ran = [(v, items) for v, items, thread in seen if thread is outer_threads[w]]
+            assert ran == [(0, [0]), (1, [1])]
 
     def test_first_error_reaches_the_caller_after_every_share_finished(self, monkeypatch):
         monkeypatch.setattr(T, "WORKERS", 4)
