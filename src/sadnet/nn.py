@@ -70,7 +70,8 @@ class ReLU(Layer):
     kind = "relu"
 
     def forward(self, x, *, cache):
-        # in place: every builder puts a ReLU after a layer that returns a fresh array
+        # in place is safe: every builder and gradcheck model puts a ReLU after a layer that
+        # returns a fresh array, never right after a MaxPool2d, whose cached output it would overwrite
         out = T.relu(x)
         self._cache = out if cache else None
         return out
@@ -111,13 +112,14 @@ class MaxPool2d(Layer):
         self.window = window
 
     def forward(self, x, *, cache):
-        out, idx = T.maxpool2d_batch(x, self.window)
-        self._cache = (idx, x.shape) if cache else None
+        out = T.maxpool2d_batch(x, self.window)
+        # no extra memory: the ReLU before a pool holds x, the conv or dense layer after it holds out
+        self._cache = (x, out) if cache else None
         return out
 
     def backward(self, delta, *, need_dx):
-        idx, in_shape = self._take_cache()
-        return T.maxpool2d_backward_batch(idx, delta, self.window, in_shape)
+        x, out = self._take_cache()
+        return T.maxpool2d_backward_batch(x, out, delta, self.window)
 
 
 class Flatten(Layer):

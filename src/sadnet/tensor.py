@@ -15,9 +15,11 @@ finished, and a share calls numpy only, never a sadnet module attribute
 (so a wrapper installed on one, such as a tracer, only ever runs on the
 calling thread). Results therefore carry the same bits at any core
 count. Its threads start at the first map that has two shares, so a
-process that forks before then copies no worker. Three loops use it:
-Adam's blocks, the per-image conv GEMMs and the column panels of a wide
-`matmul` (panel blocking as in Goto & van de Geijn, ACM TOMS 2008).
+process that forks before then copies no worker. It runs Adam's blocks,
+the per-image conv GEMMs, the column panels of a wide `matmul` (panel
+blocking as in Goto & van de Geijn, ACM TOMS 2008), and chunks of CHUNK
+images for max-pool forward and backward and for the conv kernel
+gradient.
 """
 
 from __future__ import annotations
@@ -37,6 +39,8 @@ Tensor = np.ndarray
 WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 # Columns per panel of a wide matmul; 256 measured fastest for the MLP's products.
 PANEL = 256
+# Images per item of the max-pool loops and of the conv kernel gradient's sum.
+CHUNK = 16
 _pool: ThreadPoolExecutor | None = None
 # in_share is True on a thread while it runs a share
 _local = threading.local()
@@ -139,7 +143,11 @@ def conv2d_backward_batch(x: Tensor, kernels: Tensor, pad: int, dout: Tensor):
     """Gradients of conv2d_batch: returns (dx, dkernels, dbias).
 
     dout must have conv2d_batch's output shape for x, kernels and pad.
-    Per image, dkernels accumulates dout times the transposed patch matrix.
+    dkernels sums dout times the transposed patch matrix over the images:
+    each chunk of CHUNK images sums its own in image order into its own
+    partial, map_shares spreads the chunks over the cores, and the
+    partials are then added in chunk order. The cut depends on the batch
+    size alone, so the bits do not depend on the core count.
     dx is the transposed convolution (Dumoulin & Visin, arXiv:1603.07285):
     dout correlated with the kernels flipped in space and with their two
     channel axes swapped, at padding k - 1 - pad on each axis. A pad wider
@@ -155,14 +163,21 @@ def conv2d_backward_batch(x: Tensor, kernels: Tensor, pad: int, dout: Tensor):
     b, o, oh, ow = want
     kh, kw = kernels.shape[2:]
     dbias = dout.sum(axis=(0, 2, 3))
-    # serial: the order of this sum over images fixes dkernels' bits
     taps = _taps(x, pad, pad, kh, kw)
-    buf = np.empty(taps.shape[1:])
-    cols = buf.reshape(-1, oh * ow)
-    dk = np.zeros((o, cols.shape[0]))
-    for n in range(b):
-        np.copyto(buf, taps[n])
-        dk += dout[n].reshape(o, oh * ow) @ cols.T
+    partials = np.zeros((-(-b // CHUNK), o, x.shape[1] * kh * kw))
+
+    def share(_, chunks):
+        buf = np.empty(taps.shape[1:])
+        cols = buf.reshape(-1, oh * ow)
+        for i in chunks:
+            for n in range(i * CHUNK, min((i + 1) * CHUNK, b)):
+                np.copyto(buf, taps[n])
+                partials[i] += dout[n].reshape(o, oh * ow) @ cols.T
+
+    map_shares(share, len(partials))
+    dk = partials[0]
+    for partial in partials[1:]:
+        dk += partial
     ph, pw = kh - 1 - pad, kw - 1 - pad
     cy, cx = max(-ph, 0), max(-pw, 0)
     flipped = kernels[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
@@ -221,34 +236,59 @@ def _taps(x: Tensor, ph: int, pw: int, kh: int, kw: int) -> Tensor:
     return sliding_window_view(xp, (kh, kw), axis=(2, 3)).transpose(0, 1, 4, 5, 2, 3)
 
 
-def maxpool2d_batch(x: Tensor, window: int):
+def maxpool2d_batch(x: Tensor, window: int) -> Tensor:
     """Max over disjoint window x window tiles of x (B, C, H, W).
 
-    Returns (pooled, idx) where idx holds the row-major position of the
-    winner inside each window (0 .. window**2 - 1), as needed to route
-    gradients back. Ties go to the first (lowest) position. Position p is
-    the strided view x[:, :, p // window::window, p % window::window].
+    Position p of a window is the strided view
+    x[:, :, p // window::window, p % window::window]. The chunks of CHUNK
+    images are spread over the cores by map_shares. A window that holds
+    NaN pools to NaN.
     """
     x = np.asarray(x)
     b, c, h, w = x.shape
     if h % window or w % window:
         raise ShapeError(f"maxpool2d needs extents divisible by {window}, got {h}x{w}")
     taps = _window_taps(x, window)
-    out = taps[0].copy()
-    for tap in taps[1:]:
-        np.maximum(out, tap, out=out)
-    idx = np.zeros(out.shape, dtype=np.intp)
-    # descending, so the lowest tied position is written last and wins
-    for p in reversed(range(len(taps))):
-        np.copyto(idx, p, where=taps[p] == out)
-    return out, idx
+    out = np.empty(taps[0].shape, dtype=x.dtype)
+
+    def share(_, chunks):
+        for i in chunks:
+            n = slice(i * CHUNK, (i + 1) * CHUNK)
+            np.copyto(out[n], taps[0][n])
+            for tap in taps[1:]:
+                np.maximum(out[n], tap[n], out=out[n])
+
+    map_shares(share, -(-b // CHUNK))
+    return out
 
 
-def maxpool2d_backward_batch(idx: Tensor, dout: Tensor, window: int, in_shape) -> Tensor:
-    """Scatter dout back to the argmax positions recorded by maxpool2d_batch."""
-    dx = np.empty(in_shape, dtype=np.float64)
-    for p, tap in enumerate(_window_taps(dx, window)):
-        tap[...] = np.where(idx == p, dout, 0.0)
+def maxpool2d_backward_batch(x: Tensor, out: Tensor, dout: Tensor, window: int) -> Tensor:
+    """Route dout back to the winner of each window of maxpool2d_batch(x, window) = out.
+
+    The winners are rebuilt from x and out, with no argmax kept: walking
+    the positions in row-major order, position p takes the window's dout
+    where x equals the window's max and no lower position has taken it,
+    so ties go to the first (lowest) position. Every other entry of dx is
+    0.0. A window that holds NaN routes no gradient; a NaN loss raises
+    DivergenceError before any step, so no recorded run reads it. The
+    chunks of CHUNK images are spread over the cores by map_shares.
+    """
+    dx = np.zeros(x.shape)
+    # hit: x is the window's max and the window is still free; the shares fill their own chunks
+    hit = np.empty(out.shape, dtype=bool)
+    free = np.ones(out.shape, dtype=bool)
+    pairs = list(zip(_window_taps(x, window), _window_taps(dx, window)))
+
+    def share(_, chunks):
+        for i in chunks:
+            n = slice(i * CHUNK, (i + 1) * CHUNK)
+            for x_tap, dx_tap in pairs:
+                np.equal(x_tap[n], out[n], out=hit[n])
+                np.logical_and(hit[n], free[n], out=hit[n])
+                np.copyto(dx_tap[n], dout[n], where=hit[n])
+                np.logical_xor(free[n], hit[n], out=free[n])
+
+    map_shares(share, -(-len(dx) // CHUNK))
     return dx
 
 

@@ -1,5 +1,6 @@
 """Kernel-level tests: each op against a brute-force oracle plus edge cases."""
 
+import sys
 import threading
 import time
 
@@ -133,8 +134,7 @@ def conv2d_one(x, kernels, bias, pad=0):
 
 def maxpool_one(x, window=2):
     """maxpool2d_batch on a single (C, H, W) image."""
-    out, idx = T.maxpool2d_batch(x[None], window)
-    return out[0], idx[0]
+    return T.maxpool2d_batch(x[None], window)[0]
 
 
 def central_difference(f, arr, h=1e-3):
@@ -275,7 +275,8 @@ class TestConv2d:
             T.conv2d_backward_batch(np.zeros((1, 4, 4)), np.zeros((2, 1, 3, 3)), 1,
                                     np.zeros((1, 2, 4, 4)))
 
-    @pytest.mark.parametrize("batch", [1, 2, 5, 128])
+    # batches 16, 17 and 33 end on a full, a one-image and a short chunk of dk's sum
+    @pytest.mark.parametrize("batch", [1, 2, 5, 16, 17, 33, 128])
     def test_same_bytes_at_any_worker_count(self, batch, monkeypatch):
         rng = np.random.default_rng(batch)
         x = rng.normal(size=(batch, 2, 6, 7))
@@ -288,6 +289,26 @@ class TestConv2d:
             results.append([T.conv2d_batch(x, kernels, bias, 1).tobytes()]
                            + [g.tobytes() for g in T.conv2d_backward_batch(x, kernels, 1, dout)])
         assert results[1] == results[0] and results[2] == results[0]
+
+    @pytest.mark.parametrize("batch", [5, 16, 17, 40])
+    def test_dk_matches_the_serial_image_order_sum(self, batch):
+        rng = np.random.default_rng(200 + batch)
+        x = rng.normal(size=(batch, 2, 6, 7))
+        kernels = rng.normal(size=(3, 2, 3, 3))
+        dout = rng.normal(size=(batch, 3, 6, 7))
+        _, dk, _ = T.conv2d_backward_batch(x, kernels, 1, dout)
+        # the oracle: one running sum over every image in order
+        want = np.zeros((3, 2 * 3 * 3))
+        xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+        for n in range(batch):
+            cols = np.stack([xp[n, c, i:i + 6, j:j + 7].ravel()
+                             for c in range(2) for i in range(3) for j in range(3)])
+            want += dout[n].reshape(3, -1) @ cols.T
+        want = want.reshape(kernels.shape)
+        np.testing.assert_allclose(dk, want, rtol=1e-12, atol=0)
+        if batch <= T.CHUNK:
+            # one chunk is the serial sum itself
+            assert dk.tobytes() == want.tobytes()
 
 
 class TestMapShares:
@@ -363,21 +384,52 @@ def argmax_oracle(x, window):
     return idx
 
 
+def idx_scatter_oracle(x, dout, window):
+    """The pool backward that kept an argmax: the lowest tied position of
+    each window wins, then dout is scattered to it tap by tap."""
+    taps = [x[:, :, p // window::window, p % window::window] for p in range(window * window)]
+    out = np.max(taps, axis=0)
+    idx = np.zeros(out.shape, dtype=np.intp)
+    for p in reversed(range(len(taps))):
+        np.copyto(idx, p, where=taps[p] == out)
+    dx = np.empty(x.shape)
+    for p in range(window * window):
+        dx[:, :, p // window::window, p % window::window] = np.where(idx == p, dout, 0.0)
+    return dx
+
+
+def winners(x, window):
+    """Row-major position inside each window that the backward routes to."""
+    out = T.maxpool2d_batch(x, window)
+    dx = T.maxpool2d_backward_batch(x, out, np.ones(out.shape), window)
+    b, c, h, w = x.shape
+    tiles = dx.reshape(b, c, h // window, window, w // window, window).transpose(0, 1, 2, 4, 3, 5)
+    tiles = tiles.reshape(*out.shape, window * window)
+    assert (tiles.sum(axis=-1) == 1.0).all()  # exactly one winner per window
+    return tiles.argmax(axis=-1)
+
+
+def relu_input_with_a_band(rng, shape):
+    """ReLU'd normals with a constant positive band: tied zeros and tied positives."""
+    x = np.maximum(rng.normal(size=shape), 0.0)
+    x[:, :, 1:3, :] = 0.5
+    return x
+
+
 class TestMaxPool:
     def test_single_window(self):
-        out, idx = maxpool_one(np.array([[[1.0, 2.0], [3.0, 4.0]]]))
-        np.testing.assert_array_equal(out, [[[4.0]]])
-        assert idx[0, 0, 0] == 3  # row-major position (1, 1) inside the window
+        x = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
+        np.testing.assert_array_equal(T.maxpool2d_batch(x, 2), [[[[4.0]]]])
+        assert winners(x, 2)[0, 0, 0, 0] == 3  # row-major position (1, 1) inside the window
 
     def test_constant_invariance(self):
-        out, _ = maxpool_one(np.full((2, 4, 4), 7.0))
+        out = maxpool_one(np.full((2, 4, 4), 7.0))
         np.testing.assert_array_equal(out, np.full((2, 2, 2), 7.0))
 
     def test_matches_window_scan_oracle(self):
         rng = np.random.default_rng(6)
         x = rng.normal(size=(1, 4, 4))
-        out, _ = maxpool_one(x)
-        np.testing.assert_array_equal(out, maxpool_oracle(x, 2))
+        np.testing.assert_array_equal(maxpool_one(x), maxpool_oracle(x, 2))
 
     def test_odd_extent_rejected(self):
         with pytest.raises(ShapeError):
@@ -386,7 +438,7 @@ class TestMaxPool:
     def test_output_members_of_windows(self):
         rng = np.random.default_rng(7)
         x = rng.normal(size=(3, 6, 8))
-        out, _ = maxpool_one(x)
+        out = maxpool_one(x)
         for c in range(3):
             for y in range(3):
                 for xx in range(4):
@@ -398,30 +450,92 @@ class TestMaxPool:
         # ReLU'd inputs hold many tied zeros, the case the layers produce
         rng = np.random.default_rng(11 + window)
         x = np.maximum(rng.normal(size=(2, 3, 6, 12)), 0.0)
-        out, idx = T.maxpool2d_batch(x, window)
-        np.testing.assert_array_equal(idx, argmax_oracle(x, window))
+        out = T.maxpool2d_batch(x, window)
+        np.testing.assert_array_equal(winners(x, window), argmax_oracle(x, window))
         for ch in range(3):
             np.testing.assert_array_equal(out[:, ch], maxpool_oracle(x[:, ch], window))
 
     def test_backward_scatters_to_argmax(self):
         x = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
-        out, idx = T.maxpool2d_batch(x, 2)
+        out = T.maxpool2d_batch(x, 2)
         dout = np.array([[[[5.0]]]])
-        dx = T.maxpool2d_backward_batch(idx, dout, 2, x.shape)
+        dx = T.maxpool2d_backward_batch(x, out, dout, 2)
         np.testing.assert_array_equal(dx, [[[[0.0, 0.0], [0.0, 5.0]]]])
 
     def test_backward_routes_each_window_once(self):
         rng = np.random.default_rng(12)
         x = np.maximum(rng.normal(size=(2, 3, 4, 6)), 0.0)
-        _, idx = T.maxpool2d_batch(x, 2)
-        dout = rng.normal(size=idx.shape)
-        dx = T.maxpool2d_backward_batch(idx, dout, 2, x.shape)
+        out = T.maxpool2d_batch(x, 2)
+        dout = rng.normal(size=out.shape)
+        dx = T.maxpool2d_backward_batch(x, out, dout, 2)
+        idx = argmax_oracle(x, 2)
         want = np.zeros_like(x)
         for pos in np.ndindex(idx.shape):
             n, ch, y, xpos = pos
             p = idx[pos]
             want[n, ch, 2 * y + p // 2, 2 * xpos + p % 2] = dout[pos]
         np.testing.assert_array_equal(dx, want)
+
+    @pytest.mark.parametrize("window", [2, 3])
+    def test_backward_bytes_equal_the_idx_scatter(self, window):
+        rng = np.random.default_rng(30 + window)
+        x = relu_input_with_a_band(rng, (20, 3, 6, 12))
+        out = T.maxpool2d_batch(x, window)
+        # negative entries too: a -0.0 product would show up in the bytes
+        dout = rng.normal(size=out.shape)
+        dx = T.maxpool2d_backward_batch(x, out, dout, window)
+        assert dx.tobytes() == idx_scatter_oracle(x, dout, window).tobytes()
+
+    def test_a_nan_window_routes_no_gradient(self):
+        x = np.array([[[[1.0, np.nan], [3.0, 4.0], [1.0, 2.0], [3.0, 4.0]]]])
+        out = T.maxpool2d_batch(x, 2)
+        assert np.isnan(out[0, 0, 0, 0]) and out[0, 0, 1, 0] == 4.0
+        dx = T.maxpool2d_backward_batch(x, out, np.array([[[[5.0], [6.0]]]]), 2)
+        np.testing.assert_array_equal(dx, [[[[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 6.0]]]])
+
+    # batches 17 and 33 end on a short chunk of T.CHUNK = 16 images
+    @pytest.mark.parametrize("batch", [1, 17, 33])
+    def test_same_bytes_at_any_worker_count(self, batch, monkeypatch):
+        rng = np.random.default_rng(40 + batch)
+        x = relu_input_with_a_band(rng, (batch, 3, 8, 8))
+        dout = rng.normal(size=(batch, 3, 4, 4))
+        results = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(T, "WORKERS", workers)
+            out = T.maxpool2d_batch(x, 2)
+            results.append([out.tobytes(), T.maxpool2d_backward_batch(x, out, dout, 2).tobytes()])
+        assert results[1] == results[0] and results[2] == results[0]
+        assert results[0][1] == idx_scatter_oracle(x, dout, 2).tobytes()
+
+
+def test_chunk_loops_keep_their_bytes_with_more_workers_than_cores(monkeypatch):
+    # a chunk written by two shares, or a share that misses its chunk, changes the bytes
+    rng = np.random.default_rng(50)
+    x = relu_input_with_a_band(rng, (5 * T.CHUNK + 3, 2, 6, 6))
+    kernels = rng.normal(size=(3, 2, 3, 3))
+    dout = rng.normal(size=(len(x), 3, 6, 6))
+
+    def run():
+        out = T.maxpool2d_batch(x, 2)
+        dx = T.maxpool2d_backward_batch(x, out, dout[:, :2, :3, :3], 2)
+        return [out.tobytes(), dx.tobytes(), T.conv2d_backward_batch(x, kernels, 1, dout)[1].tobytes()]
+
+    cores = T.WORKERS
+    monkeypatch.setattr(T, "WORKERS", 1)
+    want = run()
+    monkeypatch.setattr(T, "WORKERS", 2 * cores + 1)
+    monkeypatch.setattr(T, "_pool", None)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        deadline = time.monotonic() + 5.0
+        for _ in range(20):
+            assert run() == want
+            if time.monotonic() > deadline:
+                break
+    finally:
+        sys.setswitchinterval(interval)
+        T._pool.shutdown(wait=True)
 
 
 class TestReluSoftmaxNormAxpy:
