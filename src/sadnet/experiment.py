@@ -9,8 +9,8 @@ ORIGINAL train/test sets; the corrupted set only drives the gradients
 and the stopping rule.
 
 Run artifacts: metrics.jsonl (config header line + one object per
-epoch), a metrics.csv mirror with fixed column order, and checkpoints
-(init plus the tagged final weights) in the SADNETv1 container.
+epoch) and checkpoints (init plus the tagged final weights) in the
+SADNETv1 container.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import re
 import struct
 import time
 import typing
-from dataclasses import asdict, astuple, dataclass, field, fields, replace
+from dataclasses import asdict, astuple, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -148,7 +148,7 @@ class TrainConfig:
 
 @dataclass
 class EpochRow:
-    """One epoch's clean metrics; the field order is the CSV column order."""
+    """One epoch's clean metrics, one metrics.jsonl line."""
 
     epoch: int
     train_loss: float
@@ -186,9 +186,6 @@ class RunRecord:
         """JSONL payload with wall-clock timing stripped; byte-identical
         across runs of the same config on the same platform."""
         return self.to_jsonl(drop=("elapsed_sec",)).encode()
-
-    def to_csv(self) -> str:
-        return _csv([f.name for f in fields(EpochRow)], map(astuple, self.rows))
 
 
 def _csv(header: list[str], rows) -> str:
@@ -500,11 +497,9 @@ def load_checkpoint(path) -> Checkpoint:
 
 
 def persist_run(out_dir, record: RunRecord, checkpoints: list[Checkpoint]) -> Path:
-    """Write metrics.jsonl/metrics.csv and each checkpoint as <tag>.ckpt under
-    out_dir/<run_id>/."""
+    """Write metrics.jsonl and each checkpoint as <tag>.ckpt under out_dir/<run_id>/."""
     run_dir = Path(out_dir) / record.run_id
     _write_atomic(run_dir / "metrics.jsonl", record.to_jsonl().encode())
-    _write_atomic(run_dir / "metrics.csv", record.to_csv().encode())
     for cp in checkpoints:
         save_checkpoint(cp, run_dir / f"{cp.tag}.ckpt")
     return run_dir

@@ -1,9 +1,9 @@
 """Stochastic first-order optimizers updating a Model's parameters in place.
 
-Adam's blocks run on every core through `tensor.map_shares`, under its
-rules: share w updates blocks w, w + WORKERS, ... with its own scratch
-pair, every coordinate gets the same numpy calls as in a serial loop, the
-step returns only after every share has finished, and a share calls numpy
+Adam's blocks, cut by `tensor.chunks`, run on every core through
+`tensor.map_shares`, under its rules: each share allocates its own pair
+of scratch vectors, each block writes only its own slice of theta, m and
+v with the same numpy calls as in a serial loop, and a share calls numpy
 only. The update is therefore the same bits at any core count.
 """
 
@@ -30,12 +30,10 @@ BLOCK = 1 << 15
 
 @dataclass
 class OptimizerState:
-    """Moment vectors, scratch vectors and step counter.
+    """Moment vectors and step counter.
 
-    m/v are shaped like model.theta, and each share of an Adam step has
-    its own pair of scratch vectors holding one block (at most BLOCK
-    elements); all are allocated on the first Adam step, so the state can
-    be created before the model is initialized.
+    m/v are shaped like model.theta and allocated on the first Adam step,
+    so the state can be created before the model is initialized.
     """
 
     kind: str
@@ -43,7 +41,6 @@ class OptimizerState:
     m: np.ndarray | None = field(init=False, default=None)
     v: np.ndarray | None = field(init=False, default=None)
     t: int = field(init=False, default=0)
-    scratch: list[tuple[np.ndarray, np.ndarray]] | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         check_settings(self.kind, self.lr)
@@ -64,28 +61,26 @@ def sgd_step(model: Model, state: OptimizerState) -> None:
 def adam_step(model: Model, state: OptimizerState) -> None:
     """Adam update with bias correction; eps added outside the square root.
 
-    In place on m, v and the scratch vectors; the update is
+    In place on m and v; the update is
     (lr * (m / (1 - b1**t))) / (sqrt(v / (1 - b2**t)) + eps). Each block of
     BLOCK coordinates runs the whole sequence while it is in cache; every
     coordinate gets the same operations as on the whole vector. The blocks
-    are spread over the cores by tensor.map_shares.
+    are spread over the cores by tensor.map_shares, each share with its
+    own pair of scratch vectors.
     """
     _require_grads(model)
     theta, grad = model.theta, model.grad
-    blocks = math.ceil(grad.size / BLOCK)
     if state.m is None:
         state.m, state.v = np.zeros_like(grad), np.zeros_like(grad)
-        n = min(grad.size, BLOCK)
-        state.scratch = [(np.empty(n), np.empty(n)) for _ in range(min(T.WORKERS, blocks))]
     state.t += 1
-    m_all, v_all, scratch, lr = state.m, state.v, state.scratch, state.lr
+    m_all, v_all, lr = state.m, state.v, state.lr
     c1, c2 = 1.0 - BETA1 ** state.t, 1.0 - BETA2 ** state.t
 
-    def share(w, block_indices):
-        for k in block_indices:
-            lo, hi = k * BLOCK, (k + 1) * BLOCK
-            g, m, v = grad[lo:hi], m_all[lo:hi], v_all[lo:hi]
-            update, denom = (s[:g.size] for s in scratch[w])
+    def share(blocks):
+        scratch = np.empty((2, min(grad.size, BLOCK)))
+        for block in blocks:
+            g, m, v = grad[block], m_all[block], v_all[block]
+            update, denom = scratch[:, :g.size]
             m *= BETA1
             m += np.multiply(g, 1.0 - BETA1, out=update)
             v *= BETA2
@@ -97,9 +92,9 @@ def adam_step(model: Model, state: OptimizerState) -> None:
             np.divide(m, c1, out=update)
             update *= lr
             update /= denom
-            theta[lo:hi] -= update
+            theta[block] -= update
 
-    T.map_shares(share, blocks)
+    T.map_shares(share, T.chunks(grad.size, BLOCK))
 
 
 _STEPS = {"adam": adam_step, "sgd": sgd_step}

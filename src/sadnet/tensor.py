@@ -7,19 +7,19 @@ flip), the convention the rest of the stack assumes; it is lowered to
 one matrix product per image over that image's patch matrix (im2col,
 Chellapilla, Puri & Simard 2006).
 
-`map_shares` spreads a loop of independent items over the cores. Its
-rules: the shares are fixed by the item index alone (share w takes items
-w, w + WORKERS, ...), each item runs the same numpy calls in the same
-order as in a serial loop, the map returns only after every share has
-finished, and a share calls numpy only, never a sadnet module attribute
-(so a wrapper installed on one, such as a tracer, only ever runs on the
-calling thread). Results therefore carry the same bits at any core
-count. Its threads start at the first map that has two shares, so a
-process that forks before then copies no worker. It runs Adam's blocks,
-the per-image conv GEMMs, the column panels of a wide `matmul` (panel
-blocking as in Goto & van de Geijn, ACM TOMS 2008), and chunks of CHUNK
-images for max-pool forward and backward and for the conv kernel
-gradient.
+`map_shares` spreads a sequence of independent items over the cores, every
+loop in one shape: share w takes items w, w + WORKERS, ... and allocates
+its own scratch, each item writes only its own slice of the output with
+the same numpy calls in the same order as a serial loop, the map returns
+only after every share has finished, and a share calls numpy only, never
+a sadnet module attribute (so a wrapper installed on one, such as a
+tracer, only ever runs on the calling thread). `chunks` cuts blocks from
+the size alone, so results carry the same bits at any core count. Its
+threads start at the first map that has two shares, so a process that
+forks before then copies no worker. It runs Adam's blocks, the per-image
+conv GEMMs, the column panels of `matmul` (panel blocking as in Goto &
+van de Geijn, ACM TOMS 2008), and chunks of CHUNK images for max-pool
+forward and backward and for the conv kernel gradient.
 """
 
 from __future__ import annotations
@@ -46,35 +46,40 @@ _pool: ThreadPoolExecutor | None = None
 _local = threading.local()
 
 
-def map_shares(share, items: int) -> None:
-    """Call share(w, range(w, items, WORKERS)) for every w whose range is not empty.
+def map_shares(share, items: range | list[slice]) -> None:
+    """Call share(items[w::WORKERS]) for every w whose share is not empty.
 
-    The caller runs share 0 itself and a persistent pool of WORKERS - 1
-    threads runs the others. The map returns only after every share has
-    finished, then re-raises the first error in share order. With fewer
-    than two non-empty shares, or when called from inside a share,
+    The caller runs the first share itself and a persistent pool of
+    WORKERS - 1 threads runs the others. The map returns only after every
+    share has finished, then re-raises the first error in share order.
+    With fewer than two shares, or when called from inside a share,
     everything runs in the caller, share by share.
     """
     global _pool
     workers = WORKERS
-    shares = [(w, range(w, items, workers)) for w in range(min(workers, items))]
+    shares = [items[w::workers] for w in range(min(workers, len(items)))]
     # a map inside a share stays in it: the pool's threads may all be waiting on this one
     if len(shares) < 2 or getattr(_local, "in_share", False):
-        for w, indices in shares:
-            share(w, indices)
+        for part in shares:
+            share(part)
         return
     if _pool is None:
         _pool = ThreadPoolExecutor(workers - 1, thread_name_prefix="sadnet-share",
                                    initializer=_enter_share)
-    futures = [_pool.submit(share, w, indices) for w, indices in shares[1:]]
+    futures = [_pool.submit(share, part) for part in shares[1:]]
     _local.in_share = True
     try:
-        share(*shares[0])
+        share(shares[0])
     finally:
         _local.in_share = False
         wait(futures)
     for future in futures:
         future.result()
+
+
+def chunks(n: int, size: int) -> list[slice]:
+    """Slices of size items covering range(n) in order; the last may be shorter."""
+    return [slice(lo, min(lo + size, n)) for lo in range(0, n, size)]
 
 
 def _enter_share() -> None:
@@ -94,9 +99,10 @@ os.register_at_fork(after_in_child=_forget_pool)
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product of a (m, k) and b (k, n).
 
-    A product at least 2 * PANEL columns wide is cut into column panels of
-    PANEL columns (the last may be narrower), which map_shares spreads over
-    the cores; panel i is one BLAS call, a @ b[:, i*PANEL:(i+1)*PANEL]. The
+    The product is cut into column panels of PANEL columns (the last may be
+    narrower), which map_shares spreads over the cores; each panel is one
+    BLAS call, a @ b[:, cols], written into its own columns of the output.
+    A product at most PANEL wide is one call with the bits of a @ b. The
     cut depends on n alone, so the bits do not depend on the core count.
     """
     a = np.asarray(a)
@@ -105,19 +111,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul needs 2-d operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul inner dimensions differ: {a.shape} x {b.shape}")
-    n, panel = b.shape[1], PANEL
-    if n < 2 * panel:
-        # one call: a narrower product has fewer than two full panels, and a split
-        # by rows would change the bits of the logits layer's 128x512 @ 512x10
-        return a @ b
-    out = np.empty((a.shape[0], n), dtype=np.result_type(a, b))
+    out = np.empty((a.shape[0], b.shape[1]), dtype=np.result_type(a, b))
 
-    def share(_, panels):
-        for i in panels:
-            cols = slice(i * panel, (i + 1) * panel)
+    def share(panels):
+        for cols in panels:
             np.matmul(a, b[:, cols], out=out[:, cols])
 
-    map_shares(share, -(-n // panel))
+    map_shares(share, chunks(b.shape[1], PANEL))
     return out
 
 
@@ -166,15 +166,15 @@ def conv2d_backward_batch(x: Tensor, kernels: Tensor, pad: int, dout: Tensor):
     taps = _taps(x, pad, pad, kh, kw)
     partials = np.zeros((-(-b // CHUNK), o, x.shape[1] * kh * kw))
 
-    def share(_, chunks):
+    def share(indices):
         buf = np.empty(taps.shape[1:])
         cols = buf.reshape(-1, oh * ow)
-        for i in chunks:
+        for i in indices:
             for n in range(i * CHUNK, min((i + 1) * CHUNK, b)):
                 np.copyto(buf, taps[n])
                 partials[i] += dout[n].reshape(o, oh * ow) @ cols.T
 
-    map_shares(share, len(partials))
+    map_shares(share, range(len(partials)))
     dk = partials[0]
     for partial in partials[1:]:
         dk += partial
@@ -214,14 +214,14 @@ def _correlate(x: Tensor, kernels: Tensor, ph: int, pw: int) -> Tensor:
     k2 = kernels.reshape(o, -1)
     out = np.empty((b, o, oh * ow))
 
-    def share(_, images):
+    def share(images):
         buf = np.empty(taps.shape[1:])
         cols = buf.reshape(-1, oh * ow)
         for n in images:
             np.copyto(buf, taps[n])
             np.matmul(k2, cols, out=out[n])
 
-    map_shares(share, b)
+    map_shares(share, range(b))
     return out.reshape(b, o, oh, ow)
 
 
@@ -251,14 +251,13 @@ def maxpool2d_batch(x: Tensor, window: int) -> Tensor:
     taps = _window_taps(x, window)
     out = np.empty(taps[0].shape, dtype=x.dtype)
 
-    def share(_, chunks):
-        for i in chunks:
-            n = slice(i * CHUNK, (i + 1) * CHUNK)
+    def share(images):
+        for n in images:
             np.copyto(out[n], taps[0][n])
             for tap in taps[1:]:
                 np.maximum(out[n], tap[n], out=out[n])
 
-    map_shares(share, -(-b // CHUNK))
+    map_shares(share, chunks(b, CHUNK))
     return out
 
 
@@ -279,16 +278,15 @@ def maxpool2d_backward_batch(x: Tensor, out: Tensor, dout: Tensor, window: int) 
     free = np.ones(out.shape, dtype=bool)
     pairs = list(zip(_window_taps(x, window), _window_taps(dx, window)))
 
-    def share(_, chunks):
-        for i in chunks:
-            n = slice(i * CHUNK, (i + 1) * CHUNK)
+    def share(images):
+        for n in images:
             for x_tap, dx_tap in pairs:
                 np.equal(x_tap[n], out[n], out=hit[n])
                 np.logical_and(hit[n], free[n], out=hit[n])
                 np.copyto(dx_tap[n], dout[n], where=hit[n])
                 np.logical_xor(free[n], hit[n], out=free[n])
 
-    map_shares(share, -(-len(dx) // CHUNK))
+    map_shares(share, chunks(len(dx), CHUNK))
     return dx
 
 

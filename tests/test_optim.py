@@ -208,8 +208,25 @@ class TestAdam:
             np.testing.assert_array_equal(model.theta, theta)
             np.testing.assert_array_equal(state.m, m)
             np.testing.assert_array_equal(state.v, v)
-        assert all(s.size <= BLOCK for pair in state.scratch for s in pair)
-        assert len(state.scratch) == min(workers, -(-size // BLOCK))
+
+    # the first plan grows the core count after the first step, the second changes it every step
+    @pytest.mark.parametrize("plan", [(1, 2, 2, 2), (2, 1, 3, 1)])
+    def test_state_does_not_depend_on_the_core_count(self, plan, monkeypatch):
+        size = 3 * BLOCK + 7
+        rng = np.random.default_rng(31)
+        theta = rng.normal(size=size)
+        grads = [rng.normal(size=size) for _ in plan]
+
+        def run(workers_per_step):
+            model = SimpleNamespace(theta=theta.copy(), grad=np.empty(size), grads_ready=True)
+            state = OptimizerState("adam", 0.003)
+            for workers, g in zip(workers_per_step, grads):
+                monkeypatch.setattr(T, "WORKERS", workers)
+                model.grad[...] = g
+                adam_step(model, state)
+            return [model.theta.tobytes(), state.m.tobytes(), state.v.tobytes()]
+
+        assert run(plan) == run((1, 1, 1, 1))
 
     def test_validation(self):
         with pytest.raises(ValidationError):

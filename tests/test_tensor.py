@@ -1,8 +1,10 @@
 """Kernel-level tests: each op against a brute-force oracle plus edge cases."""
 
+import re
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -95,7 +97,7 @@ class TestMatmul:
     # the MLP's products (forward, x.T @ delta, an evaluate slice) and widths with a short last panel
     @pytest.mark.parametrize("m, k, n, transposed", [
         (128, 784, 512, False), (784, 128, 512, True), (512, 784, 512, False),
-        (64, 100, 2 * T.PANEL + 1, False), (64, 100, 700, False)])
+        (64, 100, 300, False), (64, 100, 2 * T.PANEL + 1, False), (64, 100, 700, False)])
     def test_panels_give_the_same_bytes_at_any_worker_count(self, m, k, n, transposed, monkeypatch):
         rng = np.random.default_rng(n)
         a = rng.normal(size=(k, m)).T if transposed else rng.normal(size=(m, k))
@@ -107,18 +109,26 @@ class TestMatmul:
         assert results[1].tobytes() == results[0].tobytes() == results[2].tobytes()
         np.testing.assert_allclose(results[0], a @ b, rtol=1e-12, atol=1e-12)
 
-    @pytest.mark.parametrize("n, panels", [(2 * T.PANEL - 1, None), (2 * T.PANEL, 2),
-                                           (2 * T.PANEL + 1, 3)])
-    def test_only_a_product_two_panels_wide_is_cut(self, n, panels, monkeypatch):
+    @pytest.mark.parametrize("n", [1, T.PANEL, T.PANEL + 1, 2 * T.PANEL - 1, 2 * T.PANEL,
+                                   2 * T.PANEL + 1])
+    def test_every_product_is_cut_into_panels(self, n, monkeypatch):
         maps = []
-        monkeypatch.setattr(T, "map_shares", lambda share, items: (maps.append(items),
-                                                                   share(0, range(items))))
-        rng = np.random.default_rng(0)
+        monkeypatch.setattr(T, "map_shares", lambda share, items: (maps.append(len(items)),
+                                                                   share(items)))
+        rng = np.random.default_rng(n)
         a, b = rng.normal(size=(3, 4)), rng.normal(size=(4, n))
         got = T.matmul(a, b)
-        assert maps == ([] if panels is None else [panels])
-        if panels is None:
-            assert got.tobytes() == (a @ b).tobytes()
+        assert maps == [-(-n // T.PANEL)]
+        np.testing.assert_allclose(got, a @ b, rtol=1e-12, atol=1e-12)
+
+    # the logits layer's and the CNN's 84-wide dense layer's products, either operand may be a transposed view
+    @pytest.mark.parametrize("m, k, n", [(128, 512, 10), (512, 512, 10), (128, 3136, 84)])
+    @pytest.mark.parametrize("transposed", ["a", "b", None])
+    def test_a_product_one_panel_wide_has_the_bytes_of_one_call(self, m, k, n, transposed):
+        rng = np.random.default_rng(k + n)
+        a = rng.normal(size=(k, m)).T if transposed == "a" else rng.normal(size=(m, k))
+        b = rng.normal(size=(n, k)).T if transposed == "b" else rng.normal(size=(k, n))
+        assert T.matmul(a, b).tobytes() == (a @ b).tobytes()
 
     def test_shape_errors_fire_for_a_wide_product(self):
         with pytest.raises(ShapeError, match="inner dimensions differ"):
@@ -314,21 +324,31 @@ class TestConv2d:
 class TestMapShares:
     def test_shares_are_strided_and_one_share_stays_in_the_caller(self, monkeypatch):
         monkeypatch.setattr(T, "WORKERS", 3)
-        seen = {}
+        seen = []
 
-        def share(w, items):
-            seen[w] = (list(items), threading.current_thread())
+        def share(items):
+            seen.append((items, threading.current_thread()))
 
-        T.map_shares(share, 8)
-        assert {w: items for w, (items, _) in seen.items()} == {0: [0, 3, 6], 1: [1, 4, 7],
-                                                                2: [2, 5]}
-        assert seen[0][1] is threading.current_thread()
-        assert seen[1][1] is not threading.current_thread()
+        def shares():
+            # each share's items, and whether it ran on the calling thread
+            return sorted(((list(items), thread is threading.current_thread()) for items, thread in seen),
+                          key=repr)
+
+        T.map_shares(share, range(8))
+        assert all(isinstance(items, range) for items, _ in seen)
+        assert shares() == [([0, 3, 6], True), ([1, 4, 7], False), ([2, 5], False)]
         seen.clear()
-        T.map_shares(share, 1)
-        assert seen == {0: ([0], threading.current_thread())}
-        T.map_shares(share, 0)
-        assert seen == {0: ([0], threading.current_thread())}
+        cut = T.chunks(10, 3)
+        assert cut == [slice(0, 3), slice(3, 6), slice(6, 9), slice(9, 10)]
+        T.map_shares(share, cut)
+        assert shares() == [([cut[0], cut[3]], True), ([cut[1]], False), ([cut[2]], False)]
+        seen.clear()
+        T.map_shares(share, range(1))
+        assert shares() == [([0], True)]
+        seen.clear()
+        T.map_shares(share, range(0))
+        T.map_shares(share, [])
+        assert seen == []
 
     def test_a_map_inside_a_share_runs_in_that_share(self, monkeypatch):
         # with one pool thread, a nested map that waited on the pool would never return
@@ -336,28 +356,30 @@ class TestMapShares:
         monkeypatch.setattr(T, "_pool", None)
         seen = []
 
-        def inner(w, items):
-            seen.append((w, list(items), threading.current_thread()))
+        def inner(items):
+            seen.append((list(items), threading.current_thread()))
 
-        def outer(w, _):
-            T.map_shares(inner, 2)
-            outer_threads[w] = threading.current_thread()
+        def outer(items):
+            T.map_shares(inner, range(2))
+            outer_threads[items[0]] = threading.current_thread()
 
         outer_threads = {}
-        caller = threading.Thread(target=T.map_shares, args=(outer, 2), daemon=True)
+        caller = threading.Thread(target=T.map_shares, args=(outer, range(2)), daemon=True)
         caller.start()
         caller.join(timeout=30)
         assert not caller.is_alive()
         assert sorted(outer_threads) == [0, 1]
+        assert outer_threads[0] is caller and outer_threads[1] is not caller
         for w in (0, 1):
-            ran = [(v, items) for v, items, thread in seen if thread is outer_threads[w]]
-            assert ran == [(0, [0]), (1, [1])]
+            ran = [items for items, thread in seen if thread is outer_threads[w]]
+            assert ran == [[0], [1]]
 
     def test_first_error_reaches_the_caller_after_every_share_finished(self, monkeypatch):
         monkeypatch.setattr(T, "WORKERS", 4)
         finished = []
 
-        def share(w, _):
+        def share(items):
+            w = items[0]
             if w == 1:
                 raise ValueError("share 1")
             time.sleep(0.05)
@@ -366,8 +388,16 @@ class TestMapShares:
                 raise ValueError("share 3")
 
         with pytest.raises(ValueError, match="share 1"):
-            T.map_shares(share, 4)
+            T.map_shares(share, range(4))
         assert sorted(finished) == [0, 2, 3]
+
+
+def test_only_tensor_names_the_worker_count():
+    # a module that read the core count could give bits that depend on it
+    src = Path(T.__file__).parent
+    naming = [path.name for path in sorted(src.glob("*.py"))
+              if re.search(r"\bWORKERS\b", path.read_text()) and path.name != "tensor.py"]
+    assert naming == []
 
 
 def argmax_oracle(x, window):
@@ -514,11 +544,13 @@ def test_chunk_loops_keep_their_bytes_with_more_workers_than_cores(monkeypatch):
     x = relu_input_with_a_band(rng, (5 * T.CHUNK + 3, 2, 6, 6))
     kernels = rng.normal(size=(3, 2, 3, 3))
     dout = rng.normal(size=(len(x), 3, 6, 6))
+    w = rng.normal(size=(2 * 6 * 6, 3 * T.PANEL + 5))
 
     def run():
         out = T.maxpool2d_batch(x, 2)
         dx = T.maxpool2d_backward_batch(x, out, dout[:, :2, :3, :3], 2)
-        return [out.tobytes(), dx.tobytes(), T.conv2d_backward_batch(x, kernels, 1, dout)[1].tobytes()]
+        return [out.tobytes(), dx.tobytes(), T.conv2d_backward_batch(x, kernels, 1, dout)[1].tobytes(),
+                T.matmul(x.reshape(len(x), -1), w).tobytes()]
 
     cores = T.WORKERS
     monkeypatch.setattr(T, "WORKERS", 1)
