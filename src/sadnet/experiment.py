@@ -217,7 +217,7 @@ class Checkpoint:
 
     def to_model(self) -> nn.Model:
         """The model arch describes, holding a copy of theta."""
-        model = nn.build_from_descriptor(self.arch)
+        model = nn.Model(*nn.layers_of(self.arch))
         model.theta[...] = self.theta
         return model
 

@@ -5,6 +5,7 @@ the logit gradient has the closed form (softmax - onehot) / batch.
 Parameter order is fixed everywhere: layer order, weights before biases.
 A Model keeps every parameter in one float64 vector `theta` and every
 gradient in one vector `grad`; each layer's params/grads are views of them.
+A dense layer reads a (B, ...) batch as (B, prod ...), so conv blocks feed it directly.
 """
 
 from __future__ import annotations
@@ -45,6 +46,8 @@ class Layer:
 
 
 class Dense(Layer):
+    """x @ w + b, a (B, ...) batch x read as its (B, prod ...) view; dx comes back shaped as x."""
+
     kind = "dense"
 
     w = property(lambda self: self.params[0])
@@ -54,16 +57,18 @@ class Dense(Layer):
         super().__init__((in_dim, out_dim), (out_dim,))
 
     def forward(self, x, *, cache):
-        out = T.matmul(x, self.w)
+        # a view: a 2-D batch is multiplied as the very array it came in as
+        flat = x.reshape(len(x), math.prod(x.shape[1:]))
+        out = T.matmul(flat, self.w)
         out += self.b
-        self._cache = x if cache else None
+        self._cache = (flat, x.shape) if cache else None
         return out
 
     def backward(self, delta, *, need_dx):
-        x = self._take_cache()
-        self.grads[0][...] = T.matmul(x.T, delta)
+        flat, shape = self._take_cache()
+        self.grads[0][...] = T.matmul(flat.T, delta)
         self.grads[1][...] = delta.sum(axis=0)
-        return T.matmul(delta, self.w.T) if need_dx else None
+        return T.matmul(delta, self.w.T).reshape(shape) if need_dx else None
 
 
 class ReLU(Layer):
@@ -120,17 +125,6 @@ class MaxPool2d(Layer):
     def backward(self, delta, *, need_dx):
         x, out = self._take_cache()
         return T.maxpool2d_backward_batch(x, out, delta, self.window)
-
-
-class Flatten(Layer):
-    kind = "flatten"
-
-    def forward(self, x, *, cache):
-        self._cache = x.shape if cache else None
-        return np.ascontiguousarray(x.reshape(x.shape[0], -1))
-
-    def backward(self, delta, *, need_dx):
-        return delta.reshape(self._take_cache())
 
 
 def split(vec: np.ndarray, shapes: list[tuple]) -> list[np.ndarray]:
@@ -295,7 +289,7 @@ def _cnn(input_channels: int, input_hw: int, k: int) -> tuple:
         Conv2d(input_channels, 16, 5, pad=2), ReLU(), MaxPool2d(2),
         Conv2d(16, 32, 5, pad=2), ReLU(), MaxPool2d(2),
         Conv2d(32, 64, 5, pad=2), ReLU(),
-        Flatten(), Dense(64 * (input_hw // 4) ** 2, 84), ReLU(), Dense(84, k),
+        Dense(64 * (input_hw // 4) ** 2, 84), ReLU(), Dense(84, k),
     ]
     arch = {"kind": "cnn", "input_channels": input_channels, "input_hw": input_hw, "class_count": k}
     return layers, (input_channels, input_hw, input_hw), k, arch
@@ -339,8 +333,3 @@ def layers_of(arch: dict) -> tuple:
         return builder(*sizes)
     except ShapeError as exc:
         raise CheckpointError(f"{kind} architecture: {exc}") from exc
-
-
-def build_from_descriptor(arch: dict) -> Model:
-    """Rebuild a model, weights zero, from a checkpoint's arch (see layers_of)."""
-    return Model(*layers_of(arch))

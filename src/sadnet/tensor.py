@@ -166,15 +166,15 @@ def conv2d_backward_batch(x: Tensor, kernels: Tensor, pad: int, dout: Tensor):
     taps = _taps(x, pad, pad, kh, kw)
     partials = np.zeros((-(-b // CHUNK), o, x.shape[1] * kh * kw))
 
-    def share(indices):
+    def share(images):
         buf = np.empty(taps.shape[1:])
         cols = buf.reshape(-1, oh * ow)
-        for i in indices:
-            for n in range(i * CHUNK, min((i + 1) * CHUNK, b)):
+        for s in images:
+            for n in range(s.start, s.stop):
                 np.copyto(buf, taps[n])
-                partials[i] += dout[n].reshape(o, oh * ow) @ cols.T
+                partials[s.start // CHUNK] += dout[n].reshape(o, oh * ow) @ cols.T
 
-    map_shares(share, range(len(partials)))
+    map_shares(share, chunks(b, CHUNK))
     dk = partials[0]
     for partial in partials[1:]:
         dk += partial
@@ -245,9 +245,7 @@ def maxpool2d_batch(x: Tensor, window: int) -> Tensor:
     NaN pools to NaN.
     """
     x = np.asarray(x)
-    b, c, h, w = x.shape
-    if h % window or w % window:
-        raise ShapeError(f"maxpool2d needs extents divisible by {window}, got {h}x{w}")
+    b = _pool_out_shape(x, window)[0]
     taps = _window_taps(x, window)
     out = np.empty(taps[0].shape, dtype=x.dtype)
 
@@ -271,7 +269,12 @@ def maxpool2d_backward_batch(x: Tensor, out: Tensor, dout: Tensor, window: int) 
     0.0. A window that holds NaN routes no gradient; a NaN loss raises
     DivergenceError before any step, so no recorded run reads it. The
     chunks of CHUNK images are spread over the cores by map_shares.
+    out and dout must both have maxpool2d_batch's output shape for x.
     """
+    want = _pool_out_shape(x, window)
+    if out.shape != want or dout.shape != want:
+        raise ShapeError(f"maxpool2d out and dout must be {want} for x {x.shape} and window {window}, "
+                         f"got {out.shape} and {dout.shape}")
     dx = np.zeros(x.shape)
     # hit: x is the window's max and the window is still free; the shares fill their own chunks
     hit = np.empty(out.shape, dtype=bool)
@@ -288,6 +291,14 @@ def maxpool2d_backward_batch(x: Tensor, out: Tensor, dout: Tensor, window: int) 
 
     map_shares(share, chunks(len(dx), CHUNK))
     return dx
+
+
+def _pool_out_shape(x: Tensor, window: int) -> tuple[int, int, int, int]:
+    """maxpool2d_batch's output shape (B, C, H/window, W/window); ShapeError for an x that does not fit."""
+    if x.ndim != 4 or x.shape[2] % window or x.shape[3] % window:
+        raise ShapeError(f"maxpool2d needs x (B,C,H,W) with extents divisible by {window}, got {x.shape}")
+    b, c, h, w = x.shape
+    return b, c, h // window, w // window
 
 
 def _window_taps(x: Tensor, window: int) -> list[Tensor]:

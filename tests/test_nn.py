@@ -54,12 +54,11 @@ class TestBuilders:
         assert shapes[3] == (32, 14, 14)
         assert shapes[5] == (32, 7, 7)
         assert shapes[6] == (64, 7, 7)
-        assert shapes[8] == (3136,)
         assert out.shape == (2, 10)
 
     def test_cnn_flatten_dim_32(self):
         model = nn.build_cnn(3, 32, 10)
-        flat_dense = model.layers[9]
+        flat_dense = model.layers[8]
         assert flat_dense.w.shape == (64 * 8 * 8, 84)
 
     def test_cnn_rejects_bad_hw(self):
@@ -74,12 +73,16 @@ class TestBuilders:
 
     def test_build_from_descriptor_round_trip(self):
         model = nn.build_mlp(12, 5, 3)
-        again = nn.build_from_descriptor(model.arch)
+        again = nn.Model(*nn.layers_of(model.arch))
         assert [p.shape for p in again.parameters()] == [p.shape for p in model.parameters()]
         for arch in ({"kind": "resnet"},
                      {"kind": "cnn", "input_channels": 1, "input_hw": 6, "class_count": 3}):
             with pytest.raises(CheckpointError):
-                nn.build_from_descriptor(arch)
+                nn.Model(*nn.layers_of(arch))
+
+    def test_cnn_holds_only_the_four_layer_kinds(self):
+        model = nn.build_cnn(1, 8, 4)
+        assert {type(layer) for layer in model.layers} == {nn.Conv2d, nn.ReLU, nn.MaxPool2d, nn.Dense}
 
 
 class TestForward:
@@ -219,8 +222,7 @@ class TestBackward:
 
     def test_cnn_finite_differences(self):
         rng = np.random.default_rng(11)
-        layers = [nn.Conv2d(1, 2, 3, pad=1), nn.ReLU(), nn.MaxPool2d(2),
-                  nn.Flatten(), nn.Dense(2 * 3 * 3, 3)]
+        layers = [nn.Conv2d(1, 2, 3, pad=1), nn.ReLU(), nn.MaxPool2d(2), nn.Dense(2 * 3 * 3, 3)]
         model = nn.Model(layers, (1, 6, 6), 3, {"kind": "tiny-cnn"})
         nn.init_xavier_uniform(model, rng)
         x = rng.normal(size=(2, 1, 6, 6))
@@ -228,6 +230,21 @@ class TestBackward:
         err = max_relative_error(analytic_gradients(model, x, y, l2=0.0),
                                  numerical_gradients(model, x, y, l2=0.0))
         assert err < 1e-6
+
+    def test_dense_reads_an_image_batch_as_its_flat_view(self):
+        rng = np.random.default_rng(13)
+        x = rng.normal(size=(5, 2, 3, 3))
+        delta = rng.normal(size=(5, 4))
+        results = []
+        for batch in (x, x.reshape(5, 18)):
+            model = nn.Model([nn.Dense(18, 4)], batch.shape[1:], 4, {"kind": "one-dense"})
+            nn.init_xavier_uniform(model, np.random.default_rng(14))
+            logits = model.forward(batch)
+            dx = model.layers[0].backward(delta, need_dx=True)
+            results.append((logits.tobytes(), model.grad.tobytes(), dx))
+        assert results[0][:2] == results[1][:2]
+        assert results[0][2].shape == x.shape
+        assert results[0][2].tobytes() == results[1][2].tobytes()
 
     def test_descent_direction(self):
         rng = np.random.default_rng(12)

@@ -465,6 +465,23 @@ class TestMaxPool:
         with pytest.raises(ShapeError):
             maxpool_one(np.zeros((1, 3, 4)))
 
+    @pytest.mark.parametrize("x_shape, out_shape, dout_shape", [
+        ((2, 3, 4, 4), (2, 3, 2, 2), (2, 3, 1, 1)),
+        ((2, 3, 4, 4), (2, 3, 2, 2), (2, 3, 2)),
+        ((2, 3, 4, 4), (1, 3, 2, 2), (2, 3, 2, 2)),
+        ((2, 3, 4, 4), (2, 3, 2, 2), (4, 3, 2, 2)),
+        ((2, 3, 5, 4), (2, 3, 2, 2), (2, 3, 2, 2)),
+        ((3, 4, 4), (3, 2, 2), (3, 2, 2)),
+    ], ids=["broadcast-dout", "dout-rank", "out-batch", "dout-batch", "odd-x", "x-rank"])
+    def test_backward_refuses_operands_that_do_not_fit(self, x_shape, out_shape, dout_shape):
+        with pytest.raises(ShapeError, match="maxpool2d"):
+            T.maxpool2d_backward_batch(np.zeros(x_shape), np.zeros(out_shape), np.zeros(dout_shape), 2)
+
+    @pytest.mark.parametrize("x_shape", [(4, 4), (3, 4, 4), (1, 1, 3, 4, 4)])
+    def test_forward_refuses_an_x_that_is_not_4d(self, x_shape):
+        with pytest.raises(ShapeError, match=r"needs x \(B,C,H,W\)"):
+            T.maxpool2d_batch(np.zeros(x_shape), 2)
+
     def test_output_members_of_windows(self):
         rng = np.random.default_rng(7)
         x = rng.normal(size=(3, 6, 8))
