@@ -51,7 +51,10 @@ class LabeledDataset:
         if type(self.class_count) is not int:
             raise ValidationError(f"class_count must be an int, got {self.class_count!r}")
         self.images = np.ascontiguousarray(self.images, dtype=np.float64)
-        self.labels = np.ascontiguousarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
+        if labels.size and labels.dtype.kind not in "iu":
+            raise ValidationError(f"labels must be integers, got dtype {labels.dtype}")
+        self.labels = np.ascontiguousarray(labels, dtype=np.int64)
         if self.images.ndim != 4:
             raise ValidationError(f"images must be (N, C, H, W), got {self.images.shape}")
         if self.labels.shape != (self.images.shape[0],):

@@ -294,6 +294,8 @@ def train(model: nn.Model, train_ds: LabeledDataset, eval_train: LabeledDataset,
         if ds.class_count != model.class_count:
             raise ConsistencyError(
                 f"dataset {ds.name!r} has {ds.class_count} classes, model expects {model.class_count}")
+    if not len(train_ds):
+        raise ValidationError(f"training set {train_ds.name!r} is empty")
 
     state = optim.OptimizerState(cfg.optimizer, cfg.lr)
     init_cp = checkpoint_of(model, cfg, "init")
@@ -493,6 +495,8 @@ def load_checkpoint(path) -> Checkpoint:
     if len(payload) != need:
         raise FormatError(f"{path}: payload holds {len(payload)} bytes, arch needs {need}")
     theta = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+    if not np.isfinite(theta).all():
+        raise FormatError(f"{path}: payload holds a NaN or infinite weight")
     return Checkpoint(header["arch"], theta, header["config"], header["tag"])
 
 

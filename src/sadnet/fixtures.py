@@ -79,13 +79,12 @@ def synth_blobs(n: int, *, k: int, dim: int, seed: int) -> LabeledDataset:
     return LabeledDataset(images.reshape(n, 1, 1, dim), labels, k, "blobs")
 
 
-def write_mnist_fixture(dir_path, n_train: int = 64, n_test: int = 16,
-                        seed: int = 0, compress: bool = False) -> dict[str, Path]:
-    """Write a tiny random IDX train/test pair using the standard file names."""
+def write_mnist_fixture(dir_path, seed: int = 0, compress: bool = False) -> dict[str, Path]:
+    """Write a tiny random IDX pair, 64 train and 16 test images, using the standard file names."""
     base = Path(dir_path)
     rng = np.random.default_rng((seed, 606))
     paths = {}
-    for split, n in (("train", n_train), ("test", n_test)):
+    for split, n in (("train", 64), ("test", 16)):
         images = rng.integers(0, 256, size=(n, 28, 28), dtype=np.uint8)
         labels = rng.integers(0, 10, size=n, dtype=np.uint8)
         paths[f"{split}_images"] = write_idx_images(base / MNIST_NAMES[f"{split}_images"], images, compress)
@@ -93,11 +92,11 @@ def write_mnist_fixture(dir_path, n_train: int = 64, n_test: int = 16,
     return paths
 
 
-def write_cifar10_fixture(dir_path, n_per_batch: int = 4, n_test: int = 4, seed: int = 0) -> Path:
-    """Write tiny CIFAR-10 files: the five train batches and the test batch."""
+def write_cifar10_fixture(dir_path, seed: int = 0) -> Path:
+    """Write tiny CIFAR-10 files: five train batches and the test batch, 4 images each."""
     base = Path(dir_path)
     rng = np.random.default_rng((seed, 707))
-    for fname, n in (dict.fromkeys(CIFAR_TRAIN_FILES, n_per_batch) | {CIFAR_TEST_FILE: n_test}).items():
-        labels = rng.integers(0, 10, size=n, dtype=np.uint8)
-        write_cifar10_file(base / fname, labels, rng.integers(0, 256, size=(n, 3, 32, 32), dtype=np.uint8))
+    for fname in [*CIFAR_TRAIN_FILES, CIFAR_TEST_FILE]:
+        labels = rng.integers(0, 10, size=4, dtype=np.uint8)
+        write_cifar10_file(base / fname, labels, rng.integers(0, 256, size=(4, 3, 32, 32), dtype=np.uint8))
     return base

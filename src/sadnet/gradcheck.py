@@ -59,7 +59,7 @@ def random_small_model(rng: np.random.Generator) -> nn.Model:
     else:
         channels = int(rng.integers(1, 3))
         k = int(rng.integers(2, 5))
-        layers = [nn.Conv2d(1, channels, 3, pad=1), nn.ReLU(), nn.MaxPool2d(2), nn.Dense(channels * 4 * 4, k)]
+        layers = [nn.Conv2d(1, channels, 3), nn.ReLU(), nn.MaxPool2d(), nn.Dense(channels * 4 * 4, k)]
         arch = {"kind": "gradcheck-cnn", "channels": channels, "class_count": k}
         model = nn.Model(layers, (1, 8, 8), k, arch)
     nn.init_xavier_uniform(model, rng)

@@ -77,23 +77,26 @@ class ReLU(Layer):
     def forward(self, x, *, cache):
         # in place is safe: every builder and gradcheck model puts a ReLU after a layer that
         # returns a fresh array, never right after a MaxPool2d, whose cached output it would overwrite
-        out = T.relu(x)
+        out = np.maximum(x, 0.0, out=x)
         self._cache = out if cache else None
         return out
 
     def backward(self, delta, *, need_dx):
-        return T.relu_backward(delta, self._take_cache())
+        # the gradient at 0 is 0
+        return np.where(self._take_cache() > 0.0, delta, 0.0)
 
 
 class Conv2d(Layer):
+    """Square kernels zero-padded by (k - 1) // 2 on each edge, so an odd kernel keeps the input's size."""
+
     kind = "conv"
 
     kernels = property(lambda self: self.params[0])
     bias = property(lambda self: self.params[1])
 
-    def __init__(self, in_channels: int, out_channels: int, kernel_hw: int, pad: int):
+    def __init__(self, in_channels: int, out_channels: int, kernel_hw: int):
         super().__init__((out_channels, in_channels, kernel_hw, kernel_hw), (out_channels,))
-        self.pad = pad
+        self.pad = (kernel_hw - 1) // 2
 
     def forward(self, x, *, cache):
         out = T.conv2d_batch(x, self.kernels, self.bias, self.pad)
@@ -110,21 +113,19 @@ class Conv2d(Layer):
 
 
 class MaxPool2d(Layer):
+    """Max over disjoint 2x2 windows; halves each spatial extent."""
+
     kind = "maxpool"
 
-    def __init__(self, window: int):
-        super().__init__()
-        self.window = window
-
     def forward(self, x, *, cache):
-        out = T.maxpool2d_batch(x, self.window)
+        out = T.maxpool2d_batch(x)
         # no extra memory: the ReLU before a pool holds x, the conv or dense layer after it holds out
         self._cache = (x, out) if cache else None
         return out
 
     def backward(self, delta, *, need_dx):
         x, out = self._take_cache()
-        return T.maxpool2d_backward_batch(x, out, delta, self.window)
+        return T.maxpool2d_backward_batch(x, out, delta)
 
 
 def split(vec: np.ndarray, shapes: list[tuple]) -> list[np.ndarray]:
@@ -195,7 +196,10 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.nda
         raise ShapeError(f"labels shape {labels.shape} does not match batch {b}")
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= k:
         raise ValidationError(f"labels must lie in [0, {k})")
-    probs = T.softmax(logits, axis=1)
+    # stable softmax: the row max is subtracted before exponentiation
+    z = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    probs = e / e.sum(axis=1, keepdims=True)
     picked = np.clip(probs[np.arange(b), labels], PROB_FLOOR, None)
     mean_loss = float(-np.log(picked).mean())
     probs[np.arange(b), labels] -= 1.0  # softmax made probs, so the gradient may overwrite it
@@ -286,9 +290,9 @@ def _cnn(input_channels: int, input_hw: int, k: int) -> tuple:
     if input_hw % 4:
         raise ShapeError(f"input_hw must be divisible by 4, got {input_hw}")
     layers = [
-        Conv2d(input_channels, 16, 5, pad=2), ReLU(), MaxPool2d(2),
-        Conv2d(16, 32, 5, pad=2), ReLU(), MaxPool2d(2),
-        Conv2d(32, 64, 5, pad=2), ReLU(),
+        Conv2d(input_channels, 16, 5), ReLU(), MaxPool2d(),
+        Conv2d(16, 32, 5), ReLU(), MaxPool2d(),
+        Conv2d(32, 64, 5), ReLU(),
         Dense(64 * (input_hw // 4) ** 2, 84), ReLU(), Dense(84, k),
     ]
     arch = {"kind": "cnn", "input_channels": input_channels, "input_hw": input_hw, "class_count": k}
@@ -301,8 +305,8 @@ def build_mlp(input_dim: int, hidden: int, k: int) -> Model:
 
 
 def build_cnn(input_channels: int, input_hw: int, k: int) -> Model:
-    """LeNet-style stack: three 5x5 conv blocks (16/32/64 filters, pad 2 keeps
-    the spatial size), max pooling after the first two, then dense 84 -> k.
+    """LeNet-style stack: three 5x5 conv blocks (16/32/64 filters, each keeping
+    the spatial size), 2x2 max pooling after the first two, then dense 84 -> k.
 
     input_hw must be divisible by 4 so both pools land on even extents.
     """

@@ -1,4 +1,6 @@
-"""Dense float64 array kernels underneath every layer.
+"""Dense float64 array kernels underneath the layers: matmul, convolution,
+2x2 max-pool and norm2, with the share machinery that spreads them over
+the cores. The elementwise ReLU and softmax live in nn, their one caller.
 
 All math in this package runs on C-contiguous float64 numpy arrays
 (row-major, last index fastest). Image kernels take channel-first
@@ -236,17 +238,16 @@ def _taps(x: Tensor, ph: int, pw: int, kh: int, kw: int) -> Tensor:
     return sliding_window_view(xp, (kh, kw), axis=(2, 3)).transpose(0, 1, 4, 5, 2, 3)
 
 
-def maxpool2d_batch(x: Tensor, window: int) -> Tensor:
-    """Max over disjoint window x window tiles of x (B, C, H, W).
+def maxpool2d_batch(x: Tensor) -> Tensor:
+    """Max over disjoint 2x2 windows of x (B, C, H, W).
 
-    Position p of a window is the strided view
-    x[:, :, p // window::window, p % window::window]. The chunks of CHUNK
-    images are spread over the cores by map_shares. A window that holds
-    NaN pools to NaN.
+    Position p = 2i + j of a window is the strided view x[:, :, i::2, j::2].
+    The chunks of CHUNK images are spread over the cores by map_shares. A
+    window that holds NaN pools to NaN.
     """
     x = np.asarray(x)
-    b = _pool_out_shape(x, window)[0]
-    taps = _window_taps(x, window)
+    b = _pool_out_shape(x)[0]
+    taps = _window_taps(x)
     out = np.empty(taps[0].shape, dtype=x.dtype)
 
     def share(images):
@@ -259,8 +260,8 @@ def maxpool2d_batch(x: Tensor, window: int) -> Tensor:
     return out
 
 
-def maxpool2d_backward_batch(x: Tensor, out: Tensor, dout: Tensor, window: int) -> Tensor:
-    """Route dout back to the winner of each window of maxpool2d_batch(x, window) = out.
+def maxpool2d_backward_batch(x: Tensor, out: Tensor, dout: Tensor) -> Tensor:
+    """Route dout back to the winner of each window of maxpool2d_batch(x) = out.
 
     The winners are rebuilt from x and out, with no argmax kept: walking
     the positions in row-major order, position p takes the window's dout
@@ -271,15 +272,15 @@ def maxpool2d_backward_batch(x: Tensor, out: Tensor, dout: Tensor, window: int) 
     chunks of CHUNK images are spread over the cores by map_shares.
     out and dout must both have maxpool2d_batch's output shape for x.
     """
-    want = _pool_out_shape(x, window)
+    want = _pool_out_shape(x)
     if out.shape != want or dout.shape != want:
-        raise ShapeError(f"maxpool2d out and dout must be {want} for x {x.shape} and window {window}, "
+        raise ShapeError(f"maxpool2d out and dout must be {want} for x {x.shape}, "
                          f"got {out.shape} and {dout.shape}")
     dx = np.zeros(x.shape)
     # hit: x is the window's max and the window is still free; the shares fill their own chunks
     hit = np.empty(out.shape, dtype=bool)
     free = np.ones(out.shape, dtype=bool)
-    pairs = list(zip(_window_taps(x, window), _window_taps(dx, window)))
+    pairs = list(zip(_window_taps(x), _window_taps(dx)))
 
     def share(images):
         for n in images:
@@ -293,38 +294,16 @@ def maxpool2d_backward_batch(x: Tensor, out: Tensor, dout: Tensor, window: int) 
     return dx
 
 
-def _pool_out_shape(x: Tensor, window: int) -> tuple[int, int, int, int]:
-    """maxpool2d_batch's output shape (B, C, H/window, W/window); ShapeError for an x that does not fit."""
-    if x.ndim != 4 or x.shape[2] % window or x.shape[3] % window:
-        raise ShapeError(f"maxpool2d needs x (B,C,H,W) with extents divisible by {window}, got {x.shape}")
+def _pool_out_shape(x: Tensor) -> tuple[int, int, int, int]:
+    """maxpool2d_batch's output shape (B, C, H/2, W/2); ShapeError for an x that does not fit."""
+    if x.ndim != 4 or x.shape[2] % 2 or x.shape[3] % 2:
+        raise ShapeError(f"maxpool2d needs x (B,C,H,W) with even extents, got {x.shape}")
     b, c, h, w = x.shape
-    return b, c, h // window, w // window
+    return b, c, h // 2, w // 2
 
 
-def _window_taps(x: Tensor, window: int) -> list[Tensor]:
-    return [x[:, :, p // window::window, p % window::window] for p in range(window * window)]
-
-
-def relu(x: Tensor) -> Tensor:
-    """max(x, 0) written over x in place; returns x."""
-    x = np.asarray(x)
-    return np.maximum(x, 0.0, out=x)
-
-
-def relu_backward(upstream: Tensor, y: Tensor) -> Tensor:
-    """Pass upstream where y > 0, zero elsewhere (gradient at 0 is 0).
-
-    y may be relu's input or its output: max(x, 0) > 0 exactly where x > 0.
-    """
-    return np.where(np.asarray(y) > 0.0, upstream, 0.0)
-
-
-def softmax(logits: Tensor, axis: int) -> Tensor:
-    """Stable softmax along `axis` (max subtracted before exponentiation)."""
-    z = np.asarray(logits, dtype=np.float64)
-    z = z - z.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=axis, keepdims=True)
+def _window_taps(x: Tensor) -> list[Tensor]:
+    return [x[:, :, i::2, j::2] for i in range(2) for j in range(2)]
 
 
 def norm2(t: Tensor) -> float:

@@ -14,7 +14,7 @@ import pytest
 
 from sadnet import cli, experiment
 from sadnet.cli import _FLAG_NAMES, _config_from, _read_config_file, build_parser, run
-from sadnet.data import load_cifar10, load_idx
+from sadnet.data import MNIST_NAMES, load_cifar10, load_idx, write_idx_images, write_idx_labels
 from sadnet.experiment import (CHECKPOINT_MAGIC, TrainConfig, checkpoint_of, load_checkpoint,
                                save_checkpoint)
 from sadnet.fixtures import write_mnist_fixture
@@ -505,6 +505,19 @@ class TestPipelineCommands:
         assert code == 2
         assert "not an object" in capsys.readouterr().err
 
+    def test_analyze_refuses_a_nan_weight_exits_2(self, tmp_path, capsys):
+        # sadnet never writes one, but a rewritten file with a valid checksum can hold it
+        out = tmp_path / "runs"
+        assert run(tiny_args("train", out, epochs=1)) == 0
+        ckpt = find_run_dir(out) / "clean.ckpt"
+        cp = load_checkpoint(ckpt)
+        cp.theta[0] = np.nan
+        save_checkpoint(cp, ckpt)
+        capsys.readouterr()
+        code = run(["analyze", "--runs-dir", str(out), "--out-dir", str(tmp_path / "analysis")])
+        assert code == 2
+        assert f"error: {ckpt}: payload holds a NaN or infinite weight" in capsys.readouterr().err
+
     # the header checksum covers only the payload, so the builder must check arch itself
     @pytest.mark.parametrize("key,value", [("input_dim", None), ("hidden", "8"), ("hidden", -1)],
                              ids=["input_dim-missing", "hidden-string", "hidden-negative"])
@@ -547,7 +560,9 @@ class TestPipelineCommands:
         assert not (tmp_path / "runs").exists()
 
     def test_sadpoint_on_empty_test_set_exits_1(self, tmp_path, capsys):
-        write_mnist_fixture(tmp_path / "mnist", n_test=0)
+        write_mnist_fixture(tmp_path / "mnist")
+        write_idx_images(tmp_path / "mnist" / MNIST_NAMES["test_images"], np.zeros((0, 28, 28), dtype=np.uint8))
+        write_idx_labels(tmp_path / "mnist" / MNIST_NAMES["test_labels"], np.zeros(0, dtype=np.uint8))
         code = run(["sadpoint", "--dataset", "mnist", "--data-dir", str(tmp_path / "mnist"),
                     "--epochs", "1", "--hidden", "8", "--out-dir", str(tmp_path / "runs")])
         assert code == 1

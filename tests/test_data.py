@@ -89,16 +89,16 @@ class TestLoadIdx:
         np.testing.assert_array_equal(a.labels, b.labels)
 
     def test_mnist_fixture_names(self, tmp_path):
-        paths = write_mnist_fixture(tmp_path, n_train=8, n_test=4)
+        paths = write_mnist_fixture(tmp_path)
         train = load_idx(paths["train_images"], paths["train_labels"], class_count=10)
         test = load_idx(paths["test_images"], paths["test_labels"], class_count=10)
-        assert len(train) == 8
-        assert len(test) == 4
+        assert len(train) == 64
+        assert len(test) == 16
         assert train.images.shape[1:] == (1, 28, 28)
 
     @pytest.mark.parametrize("compress", [False, True], ids=["plain", "gz"])
     def test_load_mnist_equals_load_idx(self, tmp_path, compress):
-        paths = write_mnist_fixture(tmp_path, n_train=8, n_test=4, compress=compress)
+        paths = write_mnist_fixture(tmp_path, compress=compress)
         for split, ds in zip(("train", "test"), load_mnist(tmp_path, "fashion-mnist")):
             want = load_idx(paths[f"{split}_images"], paths[f"{split}_labels"], class_count=10)
             np.testing.assert_array_equal(ds.images, want.images)
@@ -127,7 +127,10 @@ class TestLabeledDataset:
         (np.zeros((2, 1, 4, 4)), [0, 1, 1], ConsistencyError, "2 images but 3 labels"),
         (np.zeros((2, 1, 4, 4)), [0, 3], ValidationError, r"labels must lie in \[0, 3\)"),
         (np.zeros((2, 1, 4, 4)), [-1, 0], ValidationError, r"labels must lie in \[0, 3\)"),
-    ], ids=["rank", "count", "label-high", "label-negative"])
+        (np.zeros((3, 1, 4, 4)), [0.7, 1.2, 2.9], ValidationError, "labels must be integers, got dtype float64"),
+        (np.zeros((2, 1, 4, 4)), [True, False], ValidationError, "labels must be integers, got dtype bool"),
+        (np.zeros((2, 1, 4, 4)), [1e30, 0], ValidationError, "labels must be integers, got dtype float64"),
+    ], ids=["rank", "count", "label-high", "label-negative", "label-fraction", "label-bool", "label-huge"])
     def test_refuses_malformed_sets(self, images, labels, error, match):
         with pytest.raises(error, match=match):
             LabeledDataset(images, labels, 3)
@@ -145,10 +148,10 @@ class TestLabeledDataset:
 
 class TestLoadCifar10:
     def test_fixture_round_trip(self, tmp_path):
-        write_cifar10_fixture(tmp_path, n_per_batch=4, n_test=3)
+        write_cifar10_fixture(tmp_path)
         train, test = load_cifar10(tmp_path)
         assert len(train) == 20
-        assert len(test) == 3
+        assert len(test) == 4
         assert train.images.shape[1:] == (3, 32, 32)
         assert train.class_count == 10
         assert train.images.max() <= 1.0

@@ -124,6 +124,16 @@ class TestTrain:
         np.testing.assert_array_equal(load_checkpoint(run_dir / "init.ckpt").theta, w0)
         np.testing.assert_array_equal(load_checkpoint(run_dir / "clean.ckpt").theta, w0)
 
+    # with a target the run divided by the set's size; without one it recorded rows for no step
+    @pytest.mark.parametrize("target", [None, 0.9], ids=["no-target", "target"])
+    def test_empty_training_set_refused(self, blob_pair, tmp_path, target):
+        train_ds, test_ds = blob_pair
+        empty = LabeledDataset(np.zeros((0, *train_ds.images.shape[1:])), [], 2, "empty")
+        cfg = blob_config(epochs=2, stop_at_train_acc=target)
+        with pytest.raises(ValidationError, match="training set 'empty' is empty"):
+            train(new_model(cfg, train_ds), empty, train_ds, test_ds, cfg, out_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
     def test_single_epoch_single_row(self, blob_pair):
         train_ds, test_ds = blob_pair
         cfg = blob_config(epochs=1)
@@ -473,7 +483,8 @@ class TestLoadDatasets:
             assert a.name == b.name
 
     def test_real_set_is_the_class_balanced_draw(self, tmp_path):
-        write_mnist_fixture(tmp_path, n_train=100, n_test=40)
+        # fixture seed 23: its 16 test images hold every class, which a balanced subset of 10 needs
+        write_mnist_fixture(tmp_path, seed=23)
         cfg = TrainConfig(dataset="fashion-mnist", data_seed=2, train_subset=20, test_subset=10)
         full_train, full_test = load_mnist(tmp_path, "fashion-mnist")
         rng = np.random.default_rng((2, 808))
@@ -617,6 +628,16 @@ class TestCheckpointIO:
         raw[-10] ^= 0x01
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError, match="checksum"):
+            load_checkpoint(path)
+
+    # sadnet never writes one, but a rewritten payload with a valid checksum can hold it
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_payload_refused(self, blob_pair, tmp_path, value):
+        train_ds, _ = blob_pair
+        cp = checkpoint_of(new_model(blob_config(), train_ds), blob_config(), "clean")
+        cp.theta[3] = value
+        path = save_checkpoint(cp, tmp_path / "model.ckpt")
+        with pytest.raises(FormatError, match=r"model\.ckpt: payload holds a NaN or infinite weight"):
             load_checkpoint(path)
 
     def test_missing_path(self, tmp_path):

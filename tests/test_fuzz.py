@@ -161,7 +161,7 @@ class TestIdxFuzz:
 
 class TestCifarFuzz:
     def test_batch_files(self, tmp_path):
-        base = write_cifar10_fixture(tmp_path, n_per_batch=2, n_test=2)
+        base = write_cifar10_fixture(tmp_path)
         originals = {path: path.read_bytes() for path in base.iterdir()}
 
         def case(path, data):

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sadnet import nn
 from sadnet import tensor as T
 from sadnet.errors import ShapeError
 
@@ -48,14 +49,13 @@ def conv2d_oracle(x, kernels, bias, pad):
     return out
 
 
-def maxpool_oracle(x, window):
+def maxpool_oracle(x):
     c, h, w = x.shape
-    out = np.zeros((c, h // window, w // window))
+    out = np.zeros((c, h // 2, w // 2))
     for ch in range(c):
-        for y in range(h // window):
-            for xpos in range(w // window):
-                out[ch, y, xpos] = x[ch, y * window:(y + 1) * window,
-                                     xpos * window:(xpos + 1) * window].max()
+        for y in range(h // 2):
+            for xpos in range(w // 2):
+                out[ch, y, xpos] = x[ch, 2 * y:2 * y + 2, 2 * xpos:2 * xpos + 2].max()
     return out
 
 
@@ -142,9 +142,9 @@ def conv2d_one(x, kernels, bias, pad=0):
     return T.conv2d_batch(x[None], kernels, bias, pad)[0]
 
 
-def maxpool_one(x, window=2):
+def maxpool_one(x):
     """maxpool2d_batch on a single (C, H, W) image."""
-    return T.maxpool2d_batch(x[None], window)[0]
+    return T.maxpool2d_batch(x[None])[0]
 
 
 def central_difference(f, arr, h=1e-3):
@@ -400,41 +400,41 @@ def test_only_tensor_names_the_worker_count():
     assert naming == []
 
 
-def argmax_oracle(x, window):
-    """Row-major position of the first maximum of each window, by scanning."""
+def argmax_oracle(x):
+    """Row-major position of the first maximum of each 2x2 window, by scanning."""
     b, c, h, w = x.shape
-    idx = np.zeros((b, c, h // window, w // window), dtype=int)
+    idx = np.zeros((b, c, h // 2, w // 2), dtype=int)
     for pos in np.ndindex(idx.shape):
         n, ch, y, xpos = pos
         best = -np.inf
-        for p in range(window * window):
-            v = x[n, ch, y * window + p // window, xpos * window + p % window]
+        for p in range(4):
+            v = x[n, ch, 2 * y + p // 2, 2 * xpos + p % 2]
             if v > best:
                 best, idx[pos] = v, p
     return idx
 
 
-def idx_scatter_oracle(x, dout, window):
+def idx_scatter_oracle(x, dout):
     """The pool backward that kept an argmax: the lowest tied position of
     each window wins, then dout is scattered to it tap by tap."""
-    taps = [x[:, :, p // window::window, p % window::window] for p in range(window * window)]
+    taps = [x[:, :, p // 2::2, p % 2::2] for p in range(4)]
     out = np.max(taps, axis=0)
     idx = np.zeros(out.shape, dtype=np.intp)
     for p in reversed(range(len(taps))):
         np.copyto(idx, p, where=taps[p] == out)
     dx = np.empty(x.shape)
-    for p in range(window * window):
-        dx[:, :, p // window::window, p % window::window] = np.where(idx == p, dout, 0.0)
+    for p in range(4):
+        dx[:, :, p // 2::2, p % 2::2] = np.where(idx == p, dout, 0.0)
     return dx
 
 
-def winners(x, window):
+def winners(x):
     """Row-major position inside each window that the backward routes to."""
-    out = T.maxpool2d_batch(x, window)
-    dx = T.maxpool2d_backward_batch(x, out, np.ones(out.shape), window)
+    out = T.maxpool2d_batch(x)
+    dx = T.maxpool2d_backward_batch(x, out, np.ones(out.shape))
     b, c, h, w = x.shape
-    tiles = dx.reshape(b, c, h // window, window, w // window, window).transpose(0, 1, 2, 4, 3, 5)
-    tiles = tiles.reshape(*out.shape, window * window)
+    tiles = dx.reshape(b, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
+    tiles = tiles.reshape(*out.shape, 4)
     assert (tiles.sum(axis=-1) == 1.0).all()  # exactly one winner per window
     return tiles.argmax(axis=-1)
 
@@ -449,8 +449,8 @@ def relu_input_with_a_band(rng, shape):
 class TestMaxPool:
     def test_single_window(self):
         x = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
-        np.testing.assert_array_equal(T.maxpool2d_batch(x, 2), [[[[4.0]]]])
-        assert winners(x, 2)[0, 0, 0, 0] == 3  # row-major position (1, 1) inside the window
+        np.testing.assert_array_equal(T.maxpool2d_batch(x), [[[[4.0]]]])
+        assert winners(x)[0, 0, 0, 0] == 3  # row-major position (1, 1) inside the window
 
     def test_constant_invariance(self):
         out = maxpool_one(np.full((2, 4, 4), 7.0))
@@ -459,7 +459,7 @@ class TestMaxPool:
     def test_matches_window_scan_oracle(self):
         rng = np.random.default_rng(6)
         x = rng.normal(size=(1, 4, 4))
-        np.testing.assert_array_equal(maxpool_one(x), maxpool_oracle(x, 2))
+        np.testing.assert_array_equal(maxpool_one(x), maxpool_oracle(x))
 
     def test_odd_extent_rejected(self):
         with pytest.raises(ShapeError):
@@ -475,12 +475,12 @@ class TestMaxPool:
     ], ids=["broadcast-dout", "dout-rank", "out-batch", "dout-batch", "odd-x", "x-rank"])
     def test_backward_refuses_operands_that_do_not_fit(self, x_shape, out_shape, dout_shape):
         with pytest.raises(ShapeError, match="maxpool2d"):
-            T.maxpool2d_backward_batch(np.zeros(x_shape), np.zeros(out_shape), np.zeros(dout_shape), 2)
+            T.maxpool2d_backward_batch(np.zeros(x_shape), np.zeros(out_shape), np.zeros(dout_shape))
 
     @pytest.mark.parametrize("x_shape", [(4, 4), (3, 4, 4), (1, 1, 3, 4, 4)])
     def test_forward_refuses_an_x_that_is_not_4d(self, x_shape):
         with pytest.raises(ShapeError, match=r"needs x \(B,C,H,W\)"):
-            T.maxpool2d_batch(np.zeros(x_shape), 2)
+            T.maxpool2d_batch(np.zeros(x_shape))
 
     def test_output_members_of_windows(self):
         rng = np.random.default_rng(7)
@@ -492,30 +492,29 @@ class TestMaxPool:
                     window = x[c, 2 * y:2 * y + 2, 2 * xx:2 * xx + 2]
                     assert out[c, y, xx] in window
 
-    @pytest.mark.parametrize("window", [2, 3])
-    def test_ties_go_to_lowest_position(self, window):
+    def test_ties_go_to_lowest_position(self):
         # ReLU'd inputs hold many tied zeros, the case the layers produce
-        rng = np.random.default_rng(11 + window)
+        rng = np.random.default_rng(13)
         x = np.maximum(rng.normal(size=(2, 3, 6, 12)), 0.0)
-        out = T.maxpool2d_batch(x, window)
-        np.testing.assert_array_equal(winners(x, window), argmax_oracle(x, window))
+        out = T.maxpool2d_batch(x)
+        np.testing.assert_array_equal(winners(x), argmax_oracle(x))
         for ch in range(3):
-            np.testing.assert_array_equal(out[:, ch], maxpool_oracle(x[:, ch], window))
+            np.testing.assert_array_equal(out[:, ch], maxpool_oracle(x[:, ch]))
 
     def test_backward_scatters_to_argmax(self):
         x = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
-        out = T.maxpool2d_batch(x, 2)
+        out = T.maxpool2d_batch(x)
         dout = np.array([[[[5.0]]]])
-        dx = T.maxpool2d_backward_batch(x, out, dout, 2)
+        dx = T.maxpool2d_backward_batch(x, out, dout)
         np.testing.assert_array_equal(dx, [[[[0.0, 0.0], [0.0, 5.0]]]])
 
     def test_backward_routes_each_window_once(self):
         rng = np.random.default_rng(12)
         x = np.maximum(rng.normal(size=(2, 3, 4, 6)), 0.0)
-        out = T.maxpool2d_batch(x, 2)
+        out = T.maxpool2d_batch(x)
         dout = rng.normal(size=out.shape)
-        dx = T.maxpool2d_backward_batch(x, out, dout, 2)
-        idx = argmax_oracle(x, 2)
+        dx = T.maxpool2d_backward_batch(x, out, dout)
+        idx = argmax_oracle(x)
         want = np.zeros_like(x)
         for pos in np.ndindex(idx.shape):
             n, ch, y, xpos = pos
@@ -523,21 +522,20 @@ class TestMaxPool:
             want[n, ch, 2 * y + p // 2, 2 * xpos + p % 2] = dout[pos]
         np.testing.assert_array_equal(dx, want)
 
-    @pytest.mark.parametrize("window", [2, 3])
-    def test_backward_bytes_equal_the_idx_scatter(self, window):
-        rng = np.random.default_rng(30 + window)
+    def test_backward_bytes_equal_the_idx_scatter(self):
+        rng = np.random.default_rng(32)
         x = relu_input_with_a_band(rng, (20, 3, 6, 12))
-        out = T.maxpool2d_batch(x, window)
+        out = T.maxpool2d_batch(x)
         # negative entries too: a -0.0 product would show up in the bytes
         dout = rng.normal(size=out.shape)
-        dx = T.maxpool2d_backward_batch(x, out, dout, window)
-        assert dx.tobytes() == idx_scatter_oracle(x, dout, window).tobytes()
+        dx = T.maxpool2d_backward_batch(x, out, dout)
+        assert dx.tobytes() == idx_scatter_oracle(x, dout).tobytes()
 
     def test_a_nan_window_routes_no_gradient(self):
         x = np.array([[[[1.0, np.nan], [3.0, 4.0], [1.0, 2.0], [3.0, 4.0]]]])
-        out = T.maxpool2d_batch(x, 2)
+        out = T.maxpool2d_batch(x)
         assert np.isnan(out[0, 0, 0, 0]) and out[0, 0, 1, 0] == 4.0
-        dx = T.maxpool2d_backward_batch(x, out, np.array([[[[5.0], [6.0]]]]), 2)
+        dx = T.maxpool2d_backward_batch(x, out, np.array([[[[5.0], [6.0]]]]))
         np.testing.assert_array_equal(dx, [[[[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 6.0]]]])
 
     # batches 17 and 33 end on a short chunk of T.CHUNK = 16 images
@@ -549,10 +547,10 @@ class TestMaxPool:
         results = []
         for workers in (1, 2, 3):
             monkeypatch.setattr(T, "WORKERS", workers)
-            out = T.maxpool2d_batch(x, 2)
-            results.append([out.tobytes(), T.maxpool2d_backward_batch(x, out, dout, 2).tobytes()])
+            out = T.maxpool2d_batch(x)
+            results.append([out.tobytes(), T.maxpool2d_backward_batch(x, out, dout).tobytes()])
         assert results[1] == results[0] and results[2] == results[0]
-        assert results[0][1] == idx_scatter_oracle(x, dout, 2).tobytes()
+        assert results[0][1] == idx_scatter_oracle(x, dout).tobytes()
 
 
 def test_chunk_loops_keep_their_bytes_with_more_workers_than_cores(monkeypatch):
@@ -564,8 +562,8 @@ def test_chunk_loops_keep_their_bytes_with_more_workers_than_cores(monkeypatch):
     w = rng.normal(size=(2 * 6 * 6, 3 * T.PANEL + 5))
 
     def run():
-        out = T.maxpool2d_batch(x, 2)
-        dx = T.maxpool2d_backward_batch(x, out, dout[:, :2, :3, :3], 2)
+        out = T.maxpool2d_batch(x)
+        dx = T.maxpool2d_backward_batch(x, out, dout[:, :2, :3, :3])
         return [out.tobytes(), dx.tobytes(), T.conv2d_backward_batch(x, kernels, 1, dout)[1].tobytes(),
                 T.matmul(x.reshape(len(x), -1), w).tobytes()]
 
@@ -587,42 +585,63 @@ def test_chunk_loops_keep_their_bytes_with_more_workers_than_cores(monkeypatch):
         T._pool.shutdown(wait=True)
 
 
+def relu(x):
+    """nn.ReLU's forward, which writes over x."""
+    return nn.ReLU().forward(x, cache=False)
+
+
+def relu_backward(upstream, y):
+    """nn.ReLU's backward after a forward over y, which it writes over."""
+    layer = nn.ReLU()
+    layer.forward(y, cache=True)
+    return layer.backward(upstream, need_dx=True)
+
+
+def softmax(z):
+    """Softmax of a 1-d z, read back from nn.cross_entropy's gradient: probs = grad * b + onehot."""
+    _, grad = nn.cross_entropy(z[None], np.array([0]))
+    grad[0, 0] += 1.0
+    return grad[0]
+
+
 class TestReluSoftmaxNormAxpy:
+    """ReLU and softmax live in their one caller, nn.ReLU and nn.cross_entropy; these reach them there."""
+
     def test_relu_examples(self):
-        np.testing.assert_array_equal(T.relu(np.array([-1.0, 0.0, 2.0])), [0.0, 0.0, 2.0])
-        np.testing.assert_array_equal(T.relu(np.array([-3.0, -1.0])), [0.0, 0.0])
+        np.testing.assert_array_equal(relu(np.array([-1.0, 0.0, 2.0])), [0.0, 0.0, 2.0])
+        np.testing.assert_array_equal(relu(np.array([-3.0, -1.0])), [0.0, 0.0])
         x = np.array([-1.0, 0.5])
-        assert T.relu(x) is x
+        assert relu(x) is x
         np.testing.assert_array_equal(x, [0.0, 0.5])
 
     def test_relu_backward_gate(self):
-        np.testing.assert_array_equal(T.relu_backward(np.array([5.0]), np.array([3.0])), [5.0])
-        np.testing.assert_array_equal(T.relu_backward(np.array([5.0]), np.array([-3.0])), [0.0])
-        np.testing.assert_array_equal(T.relu_backward(np.array([5.0]), np.array([0.0])), [0.0])
+        np.testing.assert_array_equal(relu_backward(np.array([5.0]), np.array([3.0])), [5.0])
+        np.testing.assert_array_equal(relu_backward(np.array([5.0]), np.array([-3.0])), [0.0])
+        np.testing.assert_array_equal(relu_backward(np.array([5.0]), np.array([0.0])), [0.0])
 
     def test_softmax_uniform(self):
-        np.testing.assert_allclose(T.softmax(np.zeros(10), axis=0), np.full(10, 0.1), atol=1e-15)
+        np.testing.assert_allclose(softmax(np.zeros(10)), np.full(10, 0.1), atol=1e-15)
 
     def test_softmax_shift_invariance(self):
         rng = np.random.default_rng(8)
         z = rng.normal(size=7)
-        np.testing.assert_allclose(T.softmax(z, axis=0), T.softmax(z + 123.456, axis=0), atol=1e-12)
+        np.testing.assert_allclose(softmax(z), softmax(z + 123.456), atol=1e-12)
 
     def test_softmax_frozen_values(self):
         # frozen from the direct exponential-sum oracle on [1, 2, 3]
-        np.testing.assert_allclose(T.softmax(np.array([1.0, 2.0, 3.0]), axis=0),
+        np.testing.assert_allclose(softmax(np.array([1.0, 2.0, 3.0])),
                                    [0.09003057, 0.24472847, 0.66524096], atol=1e-8)
 
     def test_softmax_is_probability_vector(self):
         rng = np.random.default_rng(9)
         for _ in range(50):
             z = rng.normal(0, 10, size=rng.integers(2, 12))
-            p = T.softmax(z, axis=0)
+            p = softmax(z)
             assert (p >= 0).all()
             assert abs(p.sum() - 1.0) < 1e-12
 
     def test_softmax_large_logits_stable(self):
-        p = T.softmax(np.array([1000.0, 0.0]), axis=0)
+        p = softmax(np.array([1000.0, 0.0]))
         assert np.isfinite(p).all()
         np.testing.assert_allclose(p, [1.0, 0.0], atol=1e-12)
 
