@@ -61,7 +61,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="sadnet", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
     parser.subcommands = sub.choices  # run follows an error with the failing subcommand's usage
-    for name, epochs in (("train", 30), ("sadpoint", 200), ("escape", 50)):
+    for name, epochs in (("train", 30), ("sadpoint", 48), ("escape", 50)):
         _add_training(sub.add_parser(name), epochs)
     escape = sub.choices["escape"]
     escape.add_argument("--from-checkpoint", dest="from_checkpoint", required=True)

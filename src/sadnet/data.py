@@ -178,8 +178,7 @@ def _load_cifar_file(path):
     if len(raw) == 0 or len(raw) % CIFAR_RECORD_BYTES:
         raise FormatError(f"{path}: length {len(raw)} is not a multiple of {CIFAR_RECORD_BYTES}")
     records = np.frombuffer(raw, dtype=np.uint8).reshape(-1, CIFAR_RECORD_BYTES)
-    images = records[:, 1:].reshape(-1, 3, 32, 32) / 255.0
-    return images, _check_labels(records[:, 0], path, 10)
+    return records[:, 1:].reshape(-1, 3, 32, 32), _check_labels(records[:, 0], path, 10)
 
 
 def load_cifar10(dir_path) -> tuple[LabeledDataset, LabeledDataset]:
@@ -187,9 +186,12 @@ def load_cifar10(dir_path) -> tuple[LabeledDataset, LabeledDataset]:
     base = Path(dir_path)
     if not (base / CIFAR_TEST_FILE).exists() and (base / "cifar-10-batches-bin" / CIFAR_TEST_FILE).exists():
         base = base / "cifar-10-batches-bin"
-    images, labels = zip(*(_load_cifar_file(base / fname) for fname in CIFAR_TRAIN_FILES))
-    train = LabeledDataset(np.concatenate(images), np.concatenate(labels), 10, "cifar10-train")
-    return train, LabeledDataset(*_load_cifar_file(base / CIFAR_TEST_FILE), 10, "cifar10-test")
+
+    def load(fnames, name):  # joined as uint8, then scaled once: one float64 copy per set
+        images, labels = zip(*(_load_cifar_file(base / fname) for fname in fnames))
+        return LabeledDataset(np.concatenate(images) / 255.0, np.concatenate(labels), 10, name)
+
+    return load(CIFAR_TRAIN_FILES, "cifar10-train"), load([CIFAR_TEST_FILE], "cifar10-test")
 
 
 def corrupt_labels(ds: LabeledDataset, rng: np.random.Generator) -> LabeledDataset:

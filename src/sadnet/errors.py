@@ -32,6 +32,6 @@ class CheckpointError(SadnetError, ValueError):
 class DivergenceError(SadnetError, RuntimeError):
     """Training produced a non-finite loss or metric; carries the record so far."""
 
-    def __init__(self, message, record=None):
+    def __init__(self, message, record):
         super().__init__(message)
         self.record = record

@@ -24,7 +24,7 @@ import re
 import struct
 import time
 import typing
-from dataclasses import asdict, astuple, dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -345,18 +345,15 @@ def train(model: nn.Model, train_ds: LabeledDataset, eval_train: LabeledDataset,
 
 def construct_sad_point(train_ds: LabeledDataset, test_ds: LabeledDataset,
                         cfg: TrainConfig, out_dir=None, on_epoch=None,
-                        default_stop: float | None = 0.995) -> tuple[Checkpoint, RunRecord]:
-    """Corrupt the test labels, fold t copies into the train set, train to
-    saturation, and return the resulting weights tagged 'sad'.
-
-    Unless cfg sets its own stop_at_train_acc, training stops at default_stop under
-    train's one stop rule, its two gates measured on the corrupted set (pass None to
-    always run the full epoch budget, which minimizes more deeply).
-    """
+                        default_stop: None = None) -> tuple[Checkpoint, RunRecord]:
+    """Corrupt the test labels, fold t copies into the train set, train on the result and return
+    the weights tagged 'sad'. The run stops only where cfg says: after cfg.epochs, or earlier under
+    train's stop rule, its two gates measured on the corrupted set, if cfg.stop_at_train_acc is set."""
+    if default_stop is not None:
+        raise ValidationError("a sad-point run stops where its config's stop_at_train_acc says; "
+                              f"default_stop must be None, got {default_stop!r}")
     corrupted_test = corrupt_labels(test_ds, corruption_rng(cfg.seed))
     corrupted_train = build_corrupted_train(train_ds, corrupted_test)
-    if cfg.stop_at_train_acc is None and default_stop is not None:
-        cfg = replace(cfg, stop_at_train_acc=default_stop)
     return train(new_model(cfg, train_ds), corrupted_train, train_ds, test_ds, cfg, out_dir,
                  tag="sad", on_epoch=on_epoch)
 

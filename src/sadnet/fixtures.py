@@ -79,7 +79,7 @@ def synth_blobs(n: int, *, k: int, dim: int, seed: int) -> LabeledDataset:
     return LabeledDataset(images.reshape(n, 1, 1, dim), labels, k, "blobs")
 
 
-def write_mnist_fixture(dir_path, seed: int = 0, compress: bool = False) -> dict[str, Path]:
+def write_mnist_fixture(dir_path, seed: int, compress: bool = False) -> dict[str, Path]:
     """Write a tiny random IDX pair, 64 train and 16 test images, using the standard file names."""
     base = Path(dir_path)
     rng = np.random.default_rng((seed, 606))
@@ -92,7 +92,7 @@ def write_mnist_fixture(dir_path, seed: int = 0, compress: bool = False) -> dict
     return paths
 
 
-def write_cifar10_fixture(dir_path, seed: int = 0) -> Path:
+def write_cifar10_fixture(dir_path, seed: int) -> Path:
     """Write tiny CIFAR-10 files: five train batches and the test batch, 4 images each."""
     base = Path(dir_path)
     rng = np.random.default_rng((seed, 707))

@@ -28,7 +28,7 @@ from sadnet.nn import cross_entropy
 
 SEEDS = (1, 2, 3, 4, 5)
 TRAIN_N, TEST_N = 4000, 1000
-SAD_EPOCHS = 48        # fixed budget, well under the 200-epoch cap
+SAD_EPOCHS = 48        # fixed budget with no stop, well under the 200-epoch cap
 BASELINE_EPOCHS = 30
 ESCAPE_EPOCHS = 50
 L2_LAMBDA = 1e-4
@@ -80,7 +80,7 @@ def sad_campaign(datasets):
     runs = {}
     for seed in SEEDS:
         cfg = TrainConfig(epochs=SAD_EPOCHS, seed=seed, dataset="acceptance")
-        cp, rec = construct_sad_point(train_ds, test_ds, cfg, default_stop=None)
+        cp, rec = construct_sad_point(train_ds, test_ds, cfg)
         init_cp = checkpoint_of(new_model(cfg, train_ds), cfg, "init")
         runs[seed] = {"sad": cp, "record": rec, "init": init_cp, "config": cfg}
         last = rec.rows[-1]
@@ -154,15 +154,15 @@ class TestCampaigns:
 
     def test_criterion_5_l2_does_not_prevent(self, datasets):
         # under weight decay the fully memorized state shows rare one-epoch
-        # avalanche dips, so these runs use the default saturation stop (epoch
-        # running acc >= 0.985 and end-of-epoch corrupted-train acc >= 0.995)
-        # inside the 200-epoch cap
+        # avalanche dips, so these runs stop at saturation (epoch running
+        # acc >= 0.985 and end-of-epoch corrupted-train acc >= 0.995) inside
+        # the 200-epoch cap
         train_ds, test_ds, _ = datasets
         hits = 0
         details = []
         for seed in SEEDS:
             cfg = TrainConfig(epochs=200, seed=seed, l2_lambda=L2_LAMBDA,
-                              dataset="acceptance")
+                              dataset="acceptance", stop_at_train_acc=0.995)
             _, rec = construct_sad_point(train_ds, test_ds, cfg)
             last = rec.rows[-1]
             good = last.train_acc >= 0.99 and last.test_acc <= 0.15

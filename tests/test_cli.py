@@ -19,6 +19,7 @@ from sadnet.experiment import (CHECKPOINT_MAGIC, TrainConfig, checkpoint_of, loa
                                save_checkpoint)
 from sadnet.fixtures import write_mnist_fixture
 from sadnet.nn import build_cnn, build_mlp
+from test_acceptance import BASELINE_EPOCHS, ESCAPE_EPOCHS, SAD_EPOCHS
 
 
 def tiny_args(subcommand, out_dir, **extra):
@@ -142,8 +143,10 @@ class TestValidation:
 
 
 class TestOptions:
-    # the CLI's own defaults are the epoch budget and the dataset; TrainConfig holds the rest
-    @pytest.mark.parametrize("subcommand,epochs", [("train", 30), ("sadpoint", 200), ("escape", 50)])
+    # the CLI's own defaults are the dataset and the epoch budgets, which are the acceptance
+    # campaigns'; TrainConfig holds the rest, so no flag means no stop
+    @pytest.mark.parametrize("subcommand,epochs", [("train", BASELINE_EPOCHS), ("sadpoint", SAD_EPOCHS),
+                                                   ("escape", ESCAPE_EPOCHS)])
     def test_unset_options_take_train_config_defaults(self, subcommand, epochs):
         extra = ["--from-checkpoint", "sad.ckpt"] if subcommand == "escape" else []
         ns = build_parser().parse_args([subcommand, *extra])
@@ -444,7 +447,7 @@ class TestTrainCommand:
 class TestPipelineCommands:
     def test_sadpoint_then_escape_then_analyze(self, tmp_path, capsys):
         out = tmp_path / "runs"
-        code = run(tiny_args("sadpoint", out, epochs=150, lr=0.003))
+        code = run(tiny_args("sadpoint", out, epochs=150, lr=0.003, stop_at_train_acc=0.995))
         assert code == 0
         stdout = capsys.readouterr().out
         assert "sad:" in stdout
@@ -465,6 +468,13 @@ class TestPipelineCommands:
         assert "sad:" in stdout
         assert (tmp_path / "analysis" / "distance_summary.csv").exists()
         assert list(tmp_path.rglob("*.tmp")) == []
+
+    def test_sadpoint_sets_no_stop(self, tmp_path):
+        # with no --stop-at-train-acc the run takes every epoch and its header records no stop
+        assert run(tiny_args("sadpoint", tmp_path, epochs=6, lr=0.003)) == 0
+        lines = (find_run_dir(tmp_path) / "metrics.jsonl").read_text().splitlines()
+        assert json.loads(lines[0])["config"]["stop_at_train_acc"] is None
+        assert [json.loads(line)["epoch"] for line in lines[1:]] == [1, 2, 3, 4, 5, 6]
 
     @pytest.mark.parametrize("runs,message", [("absent", "runs dir not found"),
                                               ("empty", "no (init, final) checkpoint pairs under")])
@@ -560,7 +570,7 @@ class TestPipelineCommands:
         assert not (tmp_path / "runs").exists()
 
     def test_sadpoint_on_empty_test_set_exits_1(self, tmp_path, capsys):
-        write_mnist_fixture(tmp_path / "mnist")
+        write_mnist_fixture(tmp_path / "mnist", seed=0)
         write_idx_images(tmp_path / "mnist" / MNIST_NAMES["test_images"], np.zeros((0, 28, 28), dtype=np.uint8))
         write_idx_labels(tmp_path / "mnist" / MNIST_NAMES["test_labels"], np.zeros(0, dtype=np.uint8))
         code = run(["sadpoint", "--dataset", "mnist", "--data-dir", str(tmp_path / "mnist"),

@@ -4,12 +4,14 @@ import gzip
 import hashlib
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from sadnet.data import (LabeledDataset, batches, build_corrupted_train, corrupt_labels, load_cifar10,
-                         load_idx, load_mnist, subset, write_idx_images, write_idx_labels)
+from sadnet.data import (CIFAR_TEST_FILE, CIFAR_TRAIN_FILES, LabeledDataset, batches, build_corrupted_train,
+                         corrupt_labels, load_cifar10, load_idx, load_mnist, subset, write_cifar10_file,
+                         write_idx_images, write_idx_labels)
 from sadnet.errors import ConsistencyError, FormatError, ValidationError
 from sadnet.fixtures import synth_blobs, synth_images, write_cifar10_fixture, write_mnist_fixture
 
@@ -89,7 +91,7 @@ class TestLoadIdx:
         np.testing.assert_array_equal(a.labels, b.labels)
 
     def test_mnist_fixture_names(self, tmp_path):
-        paths = write_mnist_fixture(tmp_path)
+        paths = write_mnist_fixture(tmp_path, seed=0)
         train = load_idx(paths["train_images"], paths["train_labels"], class_count=10)
         test = load_idx(paths["test_images"], paths["test_labels"], class_count=10)
         assert len(train) == 64
@@ -98,7 +100,7 @@ class TestLoadIdx:
 
     @pytest.mark.parametrize("compress", [False, True], ids=["plain", "gz"])
     def test_load_mnist_equals_load_idx(self, tmp_path, compress):
-        paths = write_mnist_fixture(tmp_path, compress=compress)
+        paths = write_mnist_fixture(tmp_path, seed=0, compress=compress)
         for split, ds in zip(("train", "test"), load_mnist(tmp_path, "fashion-mnist")):
             want = load_idx(paths[f"{split}_images"], paths[f"{split}_labels"], class_count=10)
             np.testing.assert_array_equal(ds.images, want.images)
@@ -148,13 +150,34 @@ class TestLabeledDataset:
 
 class TestLoadCifar10:
     def test_fixture_round_trip(self, tmp_path):
-        write_cifar10_fixture(tmp_path)
+        write_cifar10_fixture(tmp_path, seed=0)
         train, test = load_cifar10(tmp_path)
         assert len(train) == 20
         assert len(test) == 4
         assert train.images.shape[1:] == (3, 32, 32)
         assert train.class_count == 10
         assert train.images.max() <= 1.0
+
+    def test_load_holds_one_float64_copy(self, tmp_path):
+        # each set's uint8 pixels are joined and then scaled once, to each file's pixels / 255
+        rng = np.random.default_rng(11)
+        files = {name: (rng.integers(0, 10, size=400, dtype=np.uint8),
+                        rng.integers(0, 256, size=(400, 3, 32, 32), dtype=np.uint8))
+                 for name in [*CIFAR_TRAIN_FILES, CIFAR_TEST_FILE]}
+        for name, (labels, images) in files.items():
+            write_cifar10_file(tmp_path / name, labels, images)
+        tracemalloc.start()
+        try:
+            train, test = load_cifar10(tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        for ds, names in ((train, CIFAR_TRAIN_FILES), (test, [CIFAR_TEST_FILE])):
+            want = np.concatenate([files[name][1] / 255.0 for name in names])
+            assert ds.images.tobytes() == want.tobytes()
+            np.testing.assert_array_equal(ds.labels, np.concatenate([files[name][0] for name in names]))
+        loaded = train.images.nbytes + test.images.nbytes
+        assert peak <= 1.5 * loaded, f"peak {peak / 2**20:.1f} MB for {loaded / 2**20:.1f} MB of images"
 
     def test_batches_bin_subdirectory(self, tmp_path):
         # the official archive unpacks into cifar-10-batches-bin/; its parent may be given
@@ -173,7 +196,7 @@ class TestLoadCifar10:
         assert len(train) == 5
 
     def test_label_outside_ten_classes(self, tmp_path):
-        base = write_cifar10_fixture(tmp_path)
+        base = write_cifar10_fixture(tmp_path, seed=0)
         raw = bytearray((base / "test_batch.bin").read_bytes())
         raw[0] = 77
         (base / "test_batch.bin").write_bytes(bytes(raw))
@@ -192,7 +215,7 @@ class TestLoadCifar10:
         np.testing.assert_array_equal(test.images[0, 1], 0.0)
 
     def test_missing_train_batch(self, tmp_path):
-        write_cifar10_fixture(tmp_path)
+        write_cifar10_fixture(tmp_path, seed=0)
         (tmp_path / "data_batch_3.bin").unlink()
         with pytest.raises(ValidationError, match="data_batch_3"):
             load_cifar10(tmp_path)

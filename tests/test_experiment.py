@@ -281,7 +281,7 @@ class TestEvaluate:
 class TestSadPointAndEscape:
     def test_binary_blobs_sad_point(self, blob_pair):
         train_ds, test_ds = blob_pair
-        cfg = blob_config(epochs=200)
+        cfg = blob_config(epochs=200, stop_at_train_acc=0.995)
         cp, rec = construct_sad_point(train_ds, test_ds, cfg)
         assert cp.tag == "sad"
         last = rec.rows[-1]
@@ -299,7 +299,7 @@ class TestSadPointAndEscape:
 
     def test_corrupted_block_accuracy_bookkeeping(self, blob_pair):
         train_ds, test_ds = blob_pair
-        cfg = blob_config(epochs=200)
+        cfg = blob_config(epochs=200, stop_at_train_acc=0.995)
         cp, _ = construct_sad_point(train_ds, test_ds, cfg)
         model = cp.to_model()
         ctest = corrupt_labels(test_ds, corruption_rng(cfg.seed))
@@ -312,7 +312,7 @@ class TestSadPointAndEscape:
 
     def test_escape_zero_epochs_identity(self, blob_pair):
         train_ds, test_ds = blob_pair
-        cfg = blob_config(epochs=200)
+        cfg = blob_config(epochs=200, stop_at_train_acc=0.995)
         sad_cp, _ = construct_sad_point(train_ds, test_ds, cfg)
         esc_cp, esc_rec = escape_run(sad_cp, train_ds, test_ds, blob_config(epochs=0))
         np.testing.assert_array_equal(esc_cp.theta, sad_cp.theta)
@@ -330,18 +330,34 @@ class TestSadPointAndEscape:
         assert list(tmp_path.iterdir()) == []
 
     def test_sad_run_directory_has_one_config(self, blob_pair, tmp_path):
-        # with the default stop, init.ckpt holds the config the run trained with
+        # init.ckpt holds the config the run trained with, its stop included
         train_ds, test_ds = blob_pair
-        _, rec = construct_sad_point(train_ds, test_ds, blob_config(epochs=3), out_dir=tmp_path)
+        cfg = blob_config(epochs=3, stop_at_train_acc=0.995)
+        _, rec = construct_sad_point(train_ds, test_ds, cfg, out_dir=tmp_path)
         run_dir = tmp_path / rec.run_id
         header = json.loads((run_dir / "metrics.jsonl").read_text().splitlines()[0])
         init_config = load_checkpoint(run_dir / "init.ckpt").config
         assert init_config == load_checkpoint(run_dir / "sad.ckpt").config == header["config"]
         assert init_config["stop_at_train_acc"] == 0.995
 
+    def test_sad_point_without_a_stop_runs_every_epoch(self, blob_pair, tmp_path):
+        # a stop of 0.995 would end this run at epoch 3 (see the running-accuracy test below)
+        train_ds, test_ds = blob_pair
+        _, rec = construct_sad_point(train_ds, test_ds, blob_config(epochs=6), out_dir=tmp_path)
+        assert [row.epoch for row in rec.rows] == [1, 2, 3, 4, 5, 6]
+        header = json.loads((tmp_path / rec.run_id / "metrics.jsonl").read_text().splitlines()[0])
+        assert header["config"]["stop_at_train_acc"] is None
+
+    @pytest.mark.parametrize("default_stop", [0.995, 1.0, 0.0])
+    def test_default_stop_other_than_none_refused(self, blob_pair, tmp_path, default_stop):
+        # a run's stop is set in its config alone
+        with pytest.raises(ValidationError, match="stop_at_train_acc"):
+            construct_sad_point(*blob_pair, blob_config(), out_dir=tmp_path, default_stop=default_stop)
+        assert list(tmp_path.iterdir()) == []
+
     def test_escape_measures_distance_from_sad_point(self, blob_pair):
         train_ds, test_ds = blob_pair
-        cfg = blob_config(epochs=200)
+        cfg = blob_config(epochs=200, stop_at_train_acc=0.995)
         sad_cp, _ = construct_sad_point(train_ds, test_ds, cfg)
         esc_cp, esc_rec = escape_run(sad_cp, train_ds, test_ds, blob_config(epochs=2))
         moved = float(np.linalg.norm(esc_cp.theta - sad_cp.theta))
@@ -410,7 +426,7 @@ class TestSadPointAndEscape:
 
         def pipeline():
             cfg = TrainConfig(model_kind="cnn", lr=0.003, batch_size=16, epochs=2, seed=5)
-            sad_cp, sad_rec = construct_sad_point(train_ds, test_ds, cfg, default_stop=None)
+            sad_cp, sad_rec = construct_sad_point(train_ds, test_ds, cfg)
             _, esc_rec = escape_run(sad_cp, train_ds, test_ds, cfg)
             return sad_rec, esc_rec
 

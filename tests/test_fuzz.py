@@ -161,7 +161,7 @@ class TestIdxFuzz:
 
 class TestCifarFuzz:
     def test_batch_files(self, tmp_path):
-        base = write_cifar10_fixture(tmp_path)
+        base = write_cifar10_fixture(tmp_path, seed=0)
         originals = {path: path.read_bytes() for path in base.iterdir()}
 
         def case(path, data):
