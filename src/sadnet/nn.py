@@ -66,8 +66,8 @@ class Dense(Layer):
 
     def backward(self, delta, *, need_dx):
         flat, shape = self._take_cache()
-        self.grads[0][...] = T.matmul(flat.T, delta)
-        self.grads[1][...] = delta.sum(axis=0)
+        T.matmul(flat.T, delta, out=self.grads[0])
+        np.sum(delta, axis=0, out=self.grads[1])
         return T.matmul(delta, self.w.T).reshape(shape) if need_dx else None
 
 

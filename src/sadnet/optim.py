@@ -5,6 +5,12 @@ Adam's blocks, cut by `tensor.chunks`, run on every core through
 of scratch vectors, each block writes only its own slice of theta, m and
 v with the same numpy calls as in a serial loop, and a share calls numpy
 only. The update is therefore the same bits at any core count.
+
+Adam folds its bias correction into one step size and one floor per step
+(Kingma & Ba, arXiv:1412.6980, section 2): with c1 = 1 - b1**t and
+c2 = 1 - b2**t, lr_t = lr * sqrt(c2) / c1 and eps_t = eps * sqrt(c2), and
+theta -= lr_t * m / (sqrt(v) + eps_t), one divide per coordinate. This is
+(lr * m / c1) / (sqrt(v / c2) + eps), eps added outside the square root.
 """
 
 from __future__ import annotations
@@ -61,20 +67,24 @@ def sgd_step(model: Model, state: OptimizerState) -> None:
 def adam_step(model: Model, state: OptimizerState) -> None:
     """Adam update with bias correction; eps added outside the square root.
 
-    In place on m and v; the update is
-    (lr * (m / (1 - b1**t))) / (sqrt(v / (1 - b2**t)) + eps). Each block of
-    BLOCK coordinates runs the whole sequence while it is in cache; every
-    coordinate gets the same operations as on the whole vector. The blocks
-    are spread over the cores by tensor.map_shares, each share with its
-    own pair of scratch vectors.
+    In place on m and v; the update is lr_t * m / (sqrt(v) + eps_t), with
+    lr_t = lr * sqrt(c2) / c1 and eps_t = eps * sqrt(c2) computed once per
+    step from c1 = 1 - b1**t and c2 = 1 - b2**t, which equals
+    (lr * m / c1) / (sqrt(v / c2) + eps) with one divide per coordinate.
+    Each block of BLOCK coordinates runs the whole sequence while it is in
+    cache; every coordinate gets the same operations as on the whole
+    vector. The blocks are spread over the cores by tensor.map_shares, each
+    share with its own pair of scratch vectors.
     """
     _require_grads(model)
     theta, grad = model.theta, model.grad
     if state.m is None:
         state.m, state.v = np.zeros_like(grad), np.zeros_like(grad)
     state.t += 1
-    m_all, v_all, lr = state.m, state.v, state.lr
-    c1, c2 = 1.0 - BETA1 ** state.t, 1.0 - BETA2 ** state.t
+    m_all, v_all = state.m, state.v
+    root_c2 = math.sqrt(1.0 - BETA2 ** state.t)
+    lr_t = state.lr * root_c2 / (1.0 - BETA1 ** state.t)
+    eps_t = EPS * root_c2
 
     def share(blocks):
         scratch = np.empty((2, min(grad.size, BLOCK)))
@@ -87,10 +97,9 @@ def adam_step(model: Model, state: OptimizerState) -> None:
             np.multiply(g, 1.0 - BETA2, out=update)
             update *= g
             v += update
-            np.sqrt(np.divide(v, c2, out=denom), out=denom)
-            denom += EPS
-            np.divide(m, c1, out=update)
-            update *= lr
+            np.sqrt(v, out=denom)
+            denom += eps_t
+            np.multiply(m, lr_t, out=update)
             update /= denom
             theta[block] -= update
 

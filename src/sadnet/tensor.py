@@ -33,7 +33,7 @@ from concurrent.futures import ThreadPoolExecutor, wait
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ShapeError
+from .errors import ShapeError, ValidationError
 
 Tensor = np.ndarray
 
@@ -98,14 +98,17 @@ def _forget_pool() -> None:
 os.register_at_fork(after_in_child=_forget_pool)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of a (m, k) and b (k, n).
+def matmul(a: Tensor, b: Tensor, out: Tensor | None = None) -> Tensor:
+    """Matrix product of a (m, k) and b (k, n), written into out and returned.
 
     The product is cut into column panels of PANEL columns (the last may be
     narrower), which map_shares spreads over the cores; each panel is one
-    BLAS call, a @ b[:, cols], written into its own columns of the output.
+    BLAS call, a @ b[:, cols], written into its own columns of out.
     A product at most PANEL wide is one call with the bits of a @ b. The
     cut depends on n alone, so the bits do not depend on the core count.
+    out, when given, must be a float64 (m, n) array that shares no memory
+    with a or b, such as a layer's gradient view; without it the product
+    goes to a fresh array.
     """
     a = np.asarray(a)
     b = np.asarray(b)
@@ -113,7 +116,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul needs 2-d operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul inner dimensions differ: {a.shape} x {b.shape}")
-    out = np.empty((a.shape[0], b.shape[1]), dtype=np.result_type(a, b))
+    shape = (a.shape[0], b.shape[1])
+    if out is None:
+        out = np.empty(shape, dtype=np.result_type(a, b))
+    elif out.shape != shape or out.dtype != np.float64:
+        raise ShapeError(f"matmul out must be float64 {shape} for {a.shape} x {b.shape}, "
+                         f"got {out.dtype} {out.shape}")
+    elif np.shares_memory(out, a) or np.shares_memory(out, b):
+        raise ValidationError("matmul out must not share memory with an operand")
 
     def share(panels):
         for cols in panels:

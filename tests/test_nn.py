@@ -6,6 +6,7 @@ forward, so it is independent of the backward pass it verifies.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -298,9 +299,9 @@ class TestFirstLayerInputGradient:
         matmuls, returned = [], []
         matmul, dense_backward = T.matmul, nn.Dense.backward
 
-        def counted_matmul(a, b):
+        def counted_matmul(a, b, **kwargs):
             matmuls.append(a.shape)
-            return matmul(a, b)
+            return matmul(a, b, **kwargs)
 
         def recorded_backward(layer, delta, *, need_dx):
             dx = dense_backward(layer, delta, need_dx=need_dx)
@@ -313,6 +314,49 @@ class TestFirstLayerInputGradient:
         assert len(matmuls) == 3
         assert [layer for layer, _ in returned] == [model.layers[2], model.layers[0]]
         assert returned[0][1].shape == (5, 5) and returned[1][1] is None
+
+
+def temporary_then_copy_backward(layer, delta, *, need_dx):
+    """Dense.backward as it was: each gradient built in a fresh array, then copied into grads."""
+    flat, shape = layer._take_cache()
+    layer.grads[0][...] = T.matmul(flat.T, delta)
+    layer.grads[1][...] = delta.sum(axis=0)
+    return T.matmul(delta, layer.w.T).reshape(shape) if need_dx else None
+
+
+class TestDenseGradientsInPlace:
+    @pytest.mark.parametrize("need_dx", [False, True])
+    def test_backward_allocates_no_weight_sized_temporary(self, need_dx):
+        model = nn.Model([nn.Dense(784, 512)], (784,), 512, {"kind": "t"})
+        layer = model.layers[0]
+        rng = np.random.default_rng(40)
+        nn.init_xavier_uniform(model, rng)
+        layer.forward(rng.normal(size=(128, 784)), cache=True)
+        delta = rng.normal(size=(128, 512))
+        tracemalloc.start()
+        try:
+            layer.backward(delta, need_dx=need_dx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < layer.w.nbytes
+
+    @pytest.mark.parametrize("make, batch", [(lambda: nn.build_mlp(784, 512, 10), 128),
+                                             (lambda: nn.build_cnn(1, 8, 4), 16)],
+                             ids=["mlp", "cnn"])
+    def test_grad_bytes_equal_the_temporary_then_copy_path(self, make, batch, monkeypatch):
+        model = make()
+        rng = np.random.default_rng(41)
+        nn.init_xavier_uniform(model, rng)
+        x = rng.normal(size=(batch, *model.input_shape))
+        y = rng.integers(0, model.class_count, size=batch)
+        logit_gradient = nn.cross_entropy(model.forward(x), y)[1]
+        model.backward(logit_gradient)
+        in_place = model.grad.tobytes()
+        model.grad[...] = np.nan
+        monkeypatch.setattr(nn.Dense, "backward", temporary_then_copy_backward)
+        model.backward(logit_gradient)
+        assert model.grad.tobytes() == in_place
 
 
 class TestGradcheckSuite:

@@ -27,16 +27,16 @@ def scalar_adam_oracle(grads, lr, beta1=0.9, beta2=0.999, eps=1e-8, w0=0.0):
 def whole_vector_adam(theta, g, m, v, t, lr):
     """adam_step's in-place sequence run once over the whole vector, unblocked."""
     update, denom = np.empty_like(g), np.empty_like(g)
+    root_c2 = np.sqrt(1.0 - BETA2 ** t)
     m *= BETA1
     m += np.multiply(g, 1.0 - BETA1, out=update)
     v *= BETA2
     np.multiply(g, 1.0 - BETA2, out=update)
     update *= g
     v += update
-    np.sqrt(np.divide(v, 1.0 - BETA2 ** t, out=denom), out=denom)
-    denom += EPS
-    np.divide(m, 1.0 - BETA1 ** t, out=update)
-    update *= lr
+    np.sqrt(v, out=denom)
+    denom += EPS * root_c2
+    np.multiply(m, lr * root_c2 / (1.0 - BETA1 ** t), out=update)
     update /= denom
     theta -= update
 
@@ -133,6 +133,29 @@ class TestAdam:
             model.grads_ready = True
             adam_step(model, state)
         want = [scalar_adam_oracle(sequence[:, i], lr=0.01, w0=w0[i]) for i in range(w0.size)]
+        np.testing.assert_allclose(model.theta, want, rtol=0, atol=1e-12)
+
+    def test_folded_step_matches_oracle_over_a_long_horizon(self):
+        # past t ~ 350, where 1 - b1**t rounds to 1.0, with gradients spanning 1e-6..1e2 and exact zeros
+        steps = 400
+        assert 1.0 - BETA1 ** steps == 1.0
+        rng = np.random.default_rng(26)
+        model = nn.build_mlp(4, 3, 2)
+        nn.init_xavier_uniform(model, np.random.default_rng(27))
+        w0 = model.theta.copy()
+        size = (steps, w0.size)
+        sequence = rng.choice([-1.0, 1.0], size=size) * 10.0 ** rng.uniform(-6, 2, size=size)
+        sequence[rng.random(size) < 0.1] = 0.0
+        sequence[:3, 0] = 0.0
+        sequence[:, 1] = 1e-6
+        sequence[:, 2] = 1e2
+        state = OptimizerState("adam", 0.001)
+        for g in sequence:
+            model.grad[...] = g
+            model.grads_ready = True
+            adam_step(model, state)
+        assert state.t == steps
+        want = [scalar_adam_oracle(sequence[:, i], lr=0.001, w0=w0[i]) for i in range(w0.size)]
         np.testing.assert_allclose(model.theta, want, rtol=0, atol=1e-12)
 
     def test_update_bound_weak_form(self):

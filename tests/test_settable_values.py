@@ -11,7 +11,7 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "sadnet"
-SETTABLE_VALUES = 28
+SETTABLE_VALUES = 29
 
 
 def _name(node) -> str | None:

@@ -11,7 +11,7 @@ import pytest
 
 from sadnet import nn
 from sadnet import tensor as T
-from sadnet.errors import ShapeError
+from sadnet.errors import ShapeError, ValidationError
 
 
 def matmul_oracle(a, b):
@@ -135,6 +135,34 @@ class TestMatmul:
             T.matmul(np.zeros((2, 3)), np.zeros((2, 2 * T.PANEL)))
         with pytest.raises(ShapeError, match="matmul needs 2-d operands"):
             T.matmul(np.zeros((2, 3)), np.zeros((1, 3, 2 * T.PANEL)))
+
+    # one panel wide, a short last panel, and the dense gradient's 784x512 shape
+    @pytest.mark.parametrize("m, k, n", [(5, 7, T.PANEL), (5, 7, T.PANEL + 3), (784, 128, 512)])
+    def test_out_receives_the_bytes_of_the_product(self, m, k, n):
+        rng = np.random.default_rng(m + n)
+        a, b = rng.normal(size=(k, m)).T, rng.normal(size=(k, n))
+        out = np.full((m, n), np.nan)
+        assert T.matmul(a, b, out=out) is out
+        assert out.tobytes() == T.matmul(a, b).tobytes()
+        np.testing.assert_allclose(out, a @ b, rtol=1e-12, atol=1e-12)
+        if n <= T.PANEL:
+            assert out.tobytes() == (a @ b).tobytes()
+
+    @pytest.mark.parametrize("out", [np.empty((3, 5)), np.empty((2, 5, 1)), np.empty(10),
+                                     np.empty((2, 5), dtype=np.float32),
+                                     np.empty((2, 5), dtype=np.int64)],
+                             ids=["rows", "3-d", "1-d", "float32", "int64"])
+    def test_out_of_another_shape_or_dtype_is_refused(self, out):
+        with pytest.raises(ShapeError, match="matmul out must be float64"):
+            T.matmul(np.ones((2, 3)), np.ones((3, 5)), out=out)
+
+    def test_out_sharing_memory_with_an_operand_is_refused(self):
+        store = np.arange(2 * 3 + 3 * 3, dtype=np.float64)
+        a, b = store[:6].reshape(2, 3), store[6:].reshape(3, 3)
+        for out in (a, b[:2], b[1:]):
+            with pytest.raises(ValidationError, match="must not share memory"):
+                T.matmul(a, b, out=out)
+        assert (store == np.arange(store.size)).all()
 
 
 def conv2d_one(x, kernels, bias, pad=0):
