@@ -140,8 +140,6 @@ def _summarize(record):
 def _cmd_run(ns) -> int:
     """train, sadpoint or escape: one run of the config the options give, on its datasets."""
     _check_out_dir(ns.out_dir)
-    if ns.subcommand != "escape" and ns.epochs < 1:
-        raise ValidationError(f"{ns.subcommand} requires --epochs >= 1")
     cfg = _config_from(ns)
     sad = load_checkpoint(ns.from_checkpoint) if ns.subcommand == "escape" else None
     train_ds, test_ds = load_datasets(cfg, ns.data_dir)

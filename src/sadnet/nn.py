@@ -87,7 +87,7 @@ class ReLU(Layer):
 
 
 class Conv2d(Layer):
-    """Square kernels zero-padded by (k - 1) // 2 on each edge, so an odd kernel keeps the input's size."""
+    """Odd square kernels zero-padded by (k - 1) // 2 on each edge, so a conv keeps the input's size."""
 
     kind = "conv"
 
@@ -95,6 +95,8 @@ class Conv2d(Layer):
     bias = property(lambda self: self.params[1])
 
     def __init__(self, in_channels: int, out_channels: int, kernel_hw: int):
+        if kernel_hw % 2 == 0:
+            raise ShapeError(f"Conv2d needs an odd kernel size, got k = {kernel_hw}")
         super().__init__((out_channels, in_channels, kernel_hw, kernel_hw), (out_channels,))
         self.pad = (kernel_hw - 1) // 2
 
@@ -162,11 +164,10 @@ class Model:
             layer.grads = [next(grads) for _ in layer.param_shapes]
 
     def forward(self, batch: np.ndarray, cache: bool = True) -> np.ndarray:
-        """Logits of a (B, ...) batch, reshaped into the input shape when the sizes agree."""
+        """Logits of a (B, ...) batch of the input shape's size, handed to the first layer as it comes."""
         out = np.asarray(batch, dtype=np.float64)
         if math.prod(out.shape[1:]) != math.prod(self.input_shape):
             raise ShapeError(f"batch shape {out.shape[1:]} incompatible with model input {self.input_shape}")
-        out = out.reshape(out.shape[0], *self.input_shape)
         for layer in self.layers:
             out = layer.forward(out, cache=cache)
         return out

@@ -5,9 +5,11 @@ the cores. The elementwise ReLU and softmax live in nn, their one caller.
 All math in this package runs on C-contiguous float64 numpy arrays
 (row-major, last index fastest). Image kernels take channel-first
 batches (B, C, H, W). Convolution means cross-correlation (no kernel
-flip), the convention the rest of the stack assumes; it is lowered to
-one matrix product per image over that image's patch matrix (im2col,
-Chellapilla, Puri & Simard 2006).
+flip), the convention the rest of the stack assumes, at one geometry:
+an odd square kernel over an input zero-padded by (k - 1) // 2, so the
+output keeps the input's size. It is lowered to one matrix product per
+image over that image's patch matrix (im2col, Chellapilla, Puri &
+Simard 2006).
 
 `map_shares` spreads a sequence of independent items over the cores, every
 loop in one shape: share w takes items w, w + WORKERS, ... and allocates
@@ -134,11 +136,11 @@ def matmul(a: Tensor, b: Tensor, out: Tensor | None = None) -> Tensor:
 
 
 def conv2d_batch(x: Tensor, kernels: Tensor, bias: Tensor, pad: int) -> Tensor:
-    """Cross-correlate x (B, C, H, W) with kernels (O, C, kh, kw).
+    """Cross-correlate x (B, C, H, W) with kernels (O, C, k, k) into (B, O, H, W).
 
-    Zero padding of `pad` pixels on each spatial edge; output is
-    (B, O, H + 2*pad - kh + 1, W + 2*pad - kw + 1). Each image is one GEMM
-    of the flattened kernels with its patch matrix (im2col).
+    k is odd and pad must be (k - 1) // 2, the module's one geometry; any
+    other kernel or pad raises ShapeError. Each image is one GEMM of the
+    flattened kernels with its patch matrix (im2col).
     """
     x = np.asarray(x)
     kernels = np.asarray(kernels)
@@ -146,7 +148,7 @@ def conv2d_batch(x: Tensor, kernels: Tensor, bias: Tensor, pad: int) -> Tensor:
     o = _conv_out_shape(x, kernels, pad)[1]
     if bias.shape != (o,):
         raise ShapeError(f"conv2d bias must be ({o},), got {bias.shape}")
-    out = _correlate(x, kernels, pad, pad)
+    out = _correlate(x, kernels, pad)
     out += bias[:, None, None]
     return out
 
@@ -154,98 +156,92 @@ def conv2d_batch(x: Tensor, kernels: Tensor, bias: Tensor, pad: int) -> Tensor:
 def conv2d_backward_batch(x: Tensor, kernels: Tensor, pad: int, dout: Tensor):
     """Gradients of conv2d_batch: returns (dx, dkernels, dbias).
 
-    dout must have conv2d_batch's output shape for x, kernels and pad.
+    dout must have conv2d_batch's output shape for x and kernels.
     dkernels sums dout times the transposed patch matrix over the images:
     each chunk of CHUNK images sums its own in image order into its own
     partial, map_shares spreads the chunks over the cores, and the
     partials are then added in chunk order. The cut depends on the batch
     size alone, so the bits do not depend on the core count.
-    dx is the transposed convolution (Dumoulin & Visin, arXiv:1603.07285):
-    dout correlated with the kernels flipped in space and with their two
-    channel axes swapped, at padding k - 1 - pad on each axis. A pad wider
-    than k - 1 crops dout by the difference instead.
+    dx is the transposed convolution (Dumoulin & Visin, arXiv:1603.07285),
+    which at this geometry is the same-size convolution of dout with the
+    kernels flipped in space and their two channel axes swapped.
     """
     x = np.asarray(x)
     kernels = np.asarray(kernels)
     dout = np.asarray(dout)
     want = _conv_out_shape(x, kernels, pad)
     if dout.shape != want:
-        raise ShapeError(f"conv2d dout must be {want} for x {x.shape}, kernels {kernels.shape} "
-                         f"and pad {pad}, got {dout.shape}")
-    b, o, oh, ow = want
-    kh, kw = kernels.shape[2:]
+        raise ShapeError(f"conv2d dout must be {want} for x {x.shape} and kernels {kernels.shape}, "
+                         f"got {dout.shape}")
+    b, o, h, w = want
     dbias = dout.sum(axis=(0, 2, 3))
-    taps = _taps(x, pad, pad, kh, kw)
-    partials = np.zeros((-(-b // CHUNK), o, x.shape[1] * kh * kw))
+    taps = _taps(x, pad, kernels.shape[2])
+    partials = np.zeros((-(-b // CHUNK), o, kernels[0].size))
 
     def share(images):
         buf = np.empty(taps.shape[1:])
-        cols = buf.reshape(-1, oh * ow)
+        cols = buf.reshape(-1, h * w)
         for s in images:
             for n in range(s.start, s.stop):
                 np.copyto(buf, taps[n])
-                partials[s.start // CHUNK] += dout[n].reshape(o, oh * ow) @ cols.T
+                partials[s.start // CHUNK] += dout[n].reshape(o, h * w) @ cols.T
 
     map_shares(share, chunks(b, CHUNK))
     dk = partials[0]
     for partial in partials[1:]:
         dk += partial
-    ph, pw = kh - 1 - pad, kw - 1 - pad
-    cy, cx = max(-ph, 0), max(-pw, 0)
-    flipped = kernels[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-    dx = _correlate(dout[:, :, cy:oh - cy, cx:ow - cx], flipped, max(ph, 0), max(pw, 0))
+    dx = _correlate(dout, kernels[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), pad)
     return dx, dk.reshape(kernels.shape), dbias
 
 
 def _conv_out_shape(x: Tensor, kernels: Tensor, pad: int) -> tuple[int, int, int, int]:
-    """conv2d_batch's output shape (B, O, oh, ow); ShapeError for operands that do not fit."""
+    """conv2d_batch's output shape (B, O, H, W); ShapeError for operands that do not fit."""
     if x.ndim != 4 or kernels.ndim != 4:
-        raise ShapeError(f"conv2d needs x (B,C,H,W) and kernels (O,C,kh,kw), got {x.shape}, {kernels.shape}")
+        raise ShapeError(f"conv2d needs x (B,C,H,W) and kernels (O,C,k,k), got {x.shape}, {kernels.shape}")
     b, c, h, w = x.shape
     o, ck, kh, kw = kernels.shape
     if ck != c:
         raise ShapeError(f"conv2d channel mismatch: input has {c}, kernels expect {ck}")
-    oh = h + 2 * pad - kh + 1
-    ow = w + 2 * pad - kw + 1
-    if oh < 1 or ow < 1:
-        raise ShapeError(f"conv2d output extent {oh}x{ow} not positive for input {h}x{w}, kernel {kh}x{kw}, pad {pad}")
-    return b, o, oh, ow
+    if kh != kw or kh % 2 == 0 or pad != (kh - 1) // 2:
+        raise ShapeError(f"conv2d needs an odd square kernel padded by (k - 1) // 2, "
+                         f"got a {kh}x{kw} kernel and pad {pad}")
+    return b, o, h, w
 
 
-def _correlate(x: Tensor, kernels: Tensor, ph: int, pw: int) -> Tensor:
-    """Bias-free cross-correlation of x (B, C, H, W) with kernels (O, C, kh, kw).
+def _correlate(x: Tensor, kernels: Tensor, pad: int) -> Tensor:
+    """Bias-free cross-correlation of x (B, C, H, W) with kernels (O, C, k, k).
 
-    x is zero-padded by ph rows and pw columns on each edge. Each image is
-    one GEMM of the flattened kernels with its patch matrix (im2col); the
-    images are spread over the cores by map_shares, each share refilling
-    its own patch buffer.
+    x is zero-padded by pad = (k - 1) // 2 on each edge, so the output is
+    (B, O, H, W). Each image is one GEMM of the flattened kernels with its
+    patch matrix (im2col); the images are spread over the cores by
+    map_shares, each share refilling its own patch buffer.
     """
     o = kernels.shape[0]
-    taps = _taps(x, ph, pw, *kernels.shape[2:])
-    b, oh, ow = taps.shape[0], *taps.shape[4:]
+    taps = _taps(x, pad, kernels.shape[2])
+    b, h, w = taps.shape[0], *taps.shape[4:]
     k2 = kernels.reshape(o, -1)
-    out = np.empty((b, o, oh * ow))
+    out = np.empty((b, o, h * w))
 
     def share(images):
         buf = np.empty(taps.shape[1:])
-        cols = buf.reshape(-1, oh * ow)
+        cols = buf.reshape(-1, h * w)
         for n in images:
             np.copyto(buf, taps[n])
             np.matmul(k2, cols, out=out[n])
 
     map_shares(share, range(b))
-    return out.reshape(b, o, oh, ow)
+    return out.reshape(b, o, h, w)
 
 
-def _taps(x: Tensor, ph: int, pw: int, kh: int, kw: int) -> Tensor:
-    """(B, C, kh, kw, oh, ow) view of x (B, C, H, W) zero-padded by ph rows and pw columns.
+def _taps(x: Tensor, pad: int, k: int) -> Tensor:
+    """(B, C, k, k, H, W) view of x (B, C, H, W) zero-padded by pad = (k - 1) // 2.
 
-    Image n's (C*kh*kw, oh*ow) patch matrix is taps[n] copied into a
+    Image n's (C*k*k, H*W) patch matrix is taps[n] copied into a
     contiguous buffer: row (c, i, j) holds padded channel c shifted by
     tap (i, j) at every output position.
     """
-    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if ph or pw else x
-    return sliding_window_view(xp, (kh, kw), axis=(2, 3)).transpose(0, 1, 4, 5, 2, 3)
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
+    return sliding_window_view(xp, (k, k), axis=(2, 3)).transpose(0, 1, 4, 5, 2, 3)
 
 
 def maxpool2d_batch(x: Tensor) -> Tensor:

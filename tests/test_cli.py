@@ -49,8 +49,17 @@ def rewrite_header(ckpt, mutate):
 
 
 class TestValidation:
-    def test_zero_epochs_rejected(self, tmp_path, capsys):
-        code = run(tiny_args("train", tmp_path, epochs=0))
+    def test_zero_epochs_write_the_start_metrics(self, tmp_path, capsys):
+        # the same rule as escape's: 0 epochs records the start and writes both checkpoints
+        assert run(tiny_args("train", tmp_path, epochs=0)) == 0
+        run_dir = find_run_dir(tmp_path)
+        [line] = (run_dir / "metrics.jsonl").read_text().splitlines()
+        assert "init_metrics" in json.loads(line)
+        assert (run_dir / "init.ckpt").exists() and (run_dir / "clean.ckpt").exists()
+        assert capsys.readouterr().out.splitlines()[0] == "clean: no epochs run"
+
+    def test_negative_epochs_rejected(self, tmp_path, capsys):
+        code = run(tiny_args("train", tmp_path, epochs=-1))
         assert code == 1
         err = capsys.readouterr().err
         assert "epochs" in err

@@ -94,6 +94,11 @@ class TestBuilders:
         assert conv.forward(x).shape == (2, 2, 6, 4)
         assert nn.MaxPool2d().forward(x, cache=False).shape == (2, 3, 3, 2)
 
+    def test_conv_refuses_an_even_kernel(self):
+        # an even kernel at pad (k - 1) // 2 would shrink its input by one pixel
+        with pytest.raises(ShapeError, match="k = 4"):
+            nn.Conv2d(3, 2, 4)
+
 
 class TestForward:
     def test_duplicated_row_gives_identical_logits(self):
@@ -136,7 +141,7 @@ class TestForward:
         # ReLU works in place on the array the layer below returned, never on the input
         model = make()
         nn.init_xavier_uniform(model, np.random.default_rng(8))
-        batch = np.random.default_rng(9).normal(size=(3, math.prod(model.input_shape)))
+        batch = np.random.default_rng(9).normal(size=(3, *model.input_shape))
         before = batch.tobytes()
         for cache in (True, False):
             model.forward(batch, cache=cache)
@@ -146,6 +151,12 @@ class TestForward:
         model = nn.build_mlp(6, 4, 3)
         with pytest.raises(ShapeError):
             model.forward(np.zeros((2, 5)))
+
+    def test_a_flat_batch_into_a_cnn_is_refused(self):
+        # the batch reaches the first layer as it comes, and a conv needs (B, C, H, W)
+        model = nn.build_cnn(1, 8, 4)
+        with pytest.raises(ShapeError, match=r"needs x \(B,C,H,W\)"):
+            model.forward(np.zeros((2, 64)))
 
     def test_flat_parameter_round_trip(self):
         rng = np.random.default_rng(7)

@@ -165,7 +165,7 @@ class TestMatmul:
         assert (store == np.arange(store.size)).all()
 
 
-def conv2d_one(x, kernels, bias, pad=0):
+def conv2d_one(x, kernels, bias, pad):
     """conv2d_batch on a single (C, H, W) image."""
     return T.conv2d_batch(x[None], kernels, bias, pad)[0]
 
@@ -189,8 +189,14 @@ def central_difference(f, arr, h=1e-3):
     return grad
 
 
-# (1, 3, 3) pads wider than k - 1, so dx crops dout instead of padding it
-BATCH_CASES = [(c, pad, k) for c in (1, 3) for pad in (0, 1, 2) for k in (3, 5)] + [(1, 3, 3)]
+# the one geometry: an odd k padded by (k - 1) // 2
+BATCH_CASES = [(c, (k - 1) // 2, k) for c in (1, 3) for k in (1, 3, 5)]
+# (kh, kw, pad, message) of kernels and pads outside it, each refused with ShapeError
+OTHER_GEOMETRIES = [(4, 4, 1, "a 4x4 kernel and pad 1"), (4, 4, 2, "a 4x4 kernel and pad 2"),
+                    (3, 5, 1, "a 3x5 kernel and pad 1"), (3, 3, 0, "a 3x3 kernel and pad 0"),
+                    (3, 3, 2, "a 3x3 kernel and pad 2"), (1, 1, 1, "a 1x1 kernel and pad 1")]
+OTHER_GEOMETRY_IDS = ["even-k", "even-k-pad-2", "non-square", "pad-too-narrow", "pad-too-wide",
+                      "pad-on-1x1"]
 
 
 class TestConv2d:
@@ -213,15 +219,15 @@ class TestConv2d:
         x = rng.normal(size=(1, 4, 4))
         kernels = rng.normal(size=(1, 1, 3, 3))
         bias = rng.normal(size=1)
-        out = conv2d_one(x, kernels, bias, pad=0)
-        assert out.shape == (1, 2, 2)
-        np.testing.assert_allclose(out, conv2d_oracle(x, kernels, bias, 0), atol=1e-12)
+        out = conv2d_one(x, kernels, bias, pad=1)
+        assert out.shape == (1, 4, 4)
+        np.testing.assert_allclose(out, conv2d_oracle(x, kernels, bias, 1), atol=1e-12)
 
     @pytest.mark.parametrize("pad", [0, 1, 2])
     def test_oracle_multichannel_padded(self, pad):
         rng = np.random.default_rng(3 + pad)
         x = rng.normal(size=(2, 5, 6))
-        kernels = rng.normal(size=(3, 2, 3, 3))
+        kernels = rng.normal(size=(3, 2, 2 * pad + 1, 2 * pad + 1))
         bias = rng.normal(size=3)
         np.testing.assert_allclose(conv2d_one(x, kernels, bias, pad),
                                    conv2d_oracle(x, kernels, bias, pad), atol=1e-12)
@@ -233,7 +239,7 @@ class TestConv2d:
         kernels = rng.normal(size=(4, c, k, k))
         bias = rng.normal(size=4)
         out = T.conv2d_batch(x, kernels, bias, pad)
-        assert out.shape == (3, 4, 6 + 2 * pad - k + 1, 9 + 2 * pad - k + 1)
+        assert out.shape == (3, 4, 6, 9)
         for n in range(3):
             np.testing.assert_allclose(out[n], conv2d_oracle(x[n], kernels, bias, pad), atol=1e-12)
 
@@ -245,19 +251,17 @@ class TestConv2d:
         out = conv2d_one(x, kernels, np.zeros(1), pad=0)
         np.testing.assert_array_equal(out[0], x[2])
 
-    @pytest.mark.parametrize("x,kernels,bias,match", [
-        (np.zeros((1, 4, 4)), np.zeros((2, 1, 3, 3)), np.zeros(2), r"needs x \(B,C,H,W\)"),
-        (np.zeros((1, 1, 4, 4)), np.zeros((2, 3, 3)), np.zeros(2), r"needs x \(B,C,H,W\)"),
-        (np.zeros((1, 1, 4, 4)), np.zeros((2, 3, 3, 3)), np.zeros(2), "input has 1, kernels expect 3"),
-        (np.zeros((1, 1, 4, 4)), np.zeros((2, 1, 3, 3)), np.zeros(3), r"bias must be \(2,\)"),
-    ], ids=["x-rank", "kernel-rank", "channels", "bias"])
-    def test_malformed_operands(self, x, kernels, bias, match):
+    @pytest.mark.parametrize("x,kernels,bias,pad,match", [
+        (np.zeros((1, 4, 4)), np.zeros((2, 1, 3, 3)), np.zeros(2), 1, r"needs x \(B,C,H,W\)"),
+        (np.zeros((1, 1, 4, 4)), np.zeros((2, 3, 3)), np.zeros(2), 1, r"needs x \(B,C,H,W\)"),
+        (np.zeros((1, 1, 4, 4)), np.zeros((2, 3, 3, 3)), np.zeros(2), 1, "input has 1, kernels expect 3"),
+        (np.zeros((1, 1, 4, 4)), np.zeros((2, 1, 3, 3)), np.zeros(3), 1, r"bias must be \(2,\)"),
+        *[(np.zeros((1, 1, 4, 4)), np.zeros((2, 1, kh, kw)), np.zeros(2), pad, match)
+          for kh, kw, pad, match in OTHER_GEOMETRIES],
+    ], ids=["x-rank", "kernel-rank", "channels", "bias", *OTHER_GEOMETRY_IDS])
+    def test_malformed_operands(self, x, kernels, bias, pad, match):
         with pytest.raises(ShapeError, match=match):
-            T.conv2d_batch(x, kernels, bias, 1)
-
-    def test_non_positive_output_extent(self):
-        with pytest.raises(ShapeError):
-            conv2d_one(np.zeros((1, 2, 2)), np.zeros((1, 1, 5, 5)), np.zeros(1), pad=0)
+            T.conv2d_batch(x, kernels, bias, pad)
 
     def test_backward_routes_to_padded_taps(self):
         # finite-difference spot check on a single kernel tap
@@ -286,7 +290,7 @@ class TestConv2d:
         x = rng.normal(size=(3, c, 6, 9))
         kernels = rng.normal(size=(4, c, k, k))
         bias = rng.normal(size=4)
-        dout = rng.normal(size=(3, 4, 6 + 2 * pad - k + 1, 9 + 2 * pad - k + 1))
+        dout = rng.normal(size=(3, 4, 6, 9))
 
         def loss():
             return (T.conv2d_batch(x, kernels, bias, pad) * dout).sum()
@@ -304,6 +308,12 @@ class TestConv2d:
         with pytest.raises(ShapeError, match=r"dout must be \(2, 2, 4, 4\)"):
             T.conv2d_backward_batch(np.zeros((2, 1, 4, 4)), np.zeros((2, 1, 3, 3)), 1,
                                     np.zeros(dout_shape))
+
+    @pytest.mark.parametrize("kh,kw,pad,match", OTHER_GEOMETRIES, ids=OTHER_GEOMETRY_IDS)
+    def test_backward_refuses_other_geometries(self, kh, kw, pad, match):
+        x = np.zeros((2, 1, 4, 4))
+        with pytest.raises(ShapeError, match=match):
+            T.conv2d_backward_batch(x, np.zeros((2, 1, kh, kw)), pad, np.zeros((2, 2, 4, 4)))
 
     def test_backward_refuses_malformed_operands(self):
         with pytest.raises(ShapeError, match="input has 1, kernels expect 3"):
