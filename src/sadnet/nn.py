@@ -87,7 +87,7 @@ class ReLU(Layer):
 
 
 class Conv2d(Layer):
-    """Odd square kernels zero-padded by (k - 1) // 2 on each edge, so a conv keeps the input's size."""
+    """Odd square kernels, zero-padded by (k - 1) // 2 so a conv keeps its input's size; a first conv skips dx."""
 
     kind = "conv"
 
@@ -98,20 +98,18 @@ class Conv2d(Layer):
         if kernel_hw % 2 == 0:
             raise ShapeError(f"Conv2d needs an odd kernel size, got k = {kernel_hw}")
         super().__init__((out_channels, in_channels, kernel_hw, kernel_hw), (out_channels,))
-        self.pad = (kernel_hw - 1) // 2
 
     def forward(self, x, *, cache):
-        out = T.conv2d_batch(x, self.kernels, self.bias, self.pad)
+        out = T.conv2d_batch(x, self.kernels, self.bias)
         self._cache = x if cache else None
         return out
 
     def backward(self, delta, *, need_dx):
-        # dx is dropped, not skipped: the one conv backward kernel returns dx, dk and db
         x = self._take_cache()
-        dx, dk, db = T.conv2d_backward_batch(x, self.kernels, self.pad, delta)
+        dx, dk, db = T.conv2d_backward_batch(x, self.kernels, need_dx, delta)
         self.grads[0][...] = dk
         self.grads[1][...] = db
-        return dx if need_dx else None
+        return dx
 
 
 class MaxPool2d(Layer):

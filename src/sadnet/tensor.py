@@ -7,9 +7,9 @@ All math in this package runs on C-contiguous float64 numpy arrays
 batches (B, C, H, W). Convolution means cross-correlation (no kernel
 flip), the convention the rest of the stack assumes, at one geometry:
 an odd square kernel over an input zero-padded by (k - 1) // 2, so the
-output keeps the input's size. It is lowered to one matrix product per
-image over that image's patch matrix (im2col, Chellapilla, Puri &
-Simard 2006).
+output keeps the input's size. The kernels fix the padding, so no conv
+takes a pad argument. It is lowered to one matrix product per image over
+that image's patch matrix (im2col, Chellapilla, Puri & Simard 2006).
 
 `map_shares` spreads a sequence of independent items over the cores, every
 loop in one shape: share w takes items w, w + WORKERS, ... and allocates
@@ -135,26 +135,26 @@ def matmul(a: Tensor, b: Tensor, out: Tensor | None = None) -> Tensor:
     return out
 
 
-def conv2d_batch(x: Tensor, kernels: Tensor, bias: Tensor, pad: int) -> Tensor:
+def conv2d_batch(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     """Cross-correlate x (B, C, H, W) with kernels (O, C, k, k) into (B, O, H, W).
 
-    k is odd and pad must be (k - 1) // 2, the module's one geometry; any
-    other kernel or pad raises ShapeError. Each image is one GEMM of the
-    flattened kernels with its patch matrix (im2col).
+    k must be odd, and x is zero-padded by (k - 1) // 2, the module's one
+    geometry; any other kernel raises ShapeError. Each image is one GEMM
+    of the flattened kernels with its patch matrix (im2col).
     """
     x = np.asarray(x)
     kernels = np.asarray(kernels)
     bias = np.asarray(bias)
-    o = _conv_out_shape(x, kernels, pad)[1]
+    o = _conv_out_shape(x, kernels)[1]
     if bias.shape != (o,):
         raise ShapeError(f"conv2d bias must be ({o},), got {bias.shape}")
-    out = _correlate(x, kernels, pad)
+    out = _correlate(x, kernels)
     out += bias[:, None, None]
     return out
 
 
-def conv2d_backward_batch(x: Tensor, kernels: Tensor, pad: int, dout: Tensor):
-    """Gradients of conv2d_batch: returns (dx, dkernels, dbias).
+def conv2d_backward_batch(x: Tensor, kernels: Tensor, need_dx: bool, dout: Tensor):
+    """Gradients of conv2d_batch: returns (dx, dkernels, dbias), dx None unless need_dx.
 
     dout must have conv2d_batch's output shape for x and kernels.
     dkernels sums dout times the transposed patch matrix over the images:
@@ -169,13 +169,13 @@ def conv2d_backward_batch(x: Tensor, kernels: Tensor, pad: int, dout: Tensor):
     x = np.asarray(x)
     kernels = np.asarray(kernels)
     dout = np.asarray(dout)
-    want = _conv_out_shape(x, kernels, pad)
+    want = _conv_out_shape(x, kernels)
     if dout.shape != want:
         raise ShapeError(f"conv2d dout must be {want} for x {x.shape} and kernels {kernels.shape}, "
                          f"got {dout.shape}")
     b, o, h, w = want
     dbias = dout.sum(axis=(0, 2, 3))
-    taps = _taps(x, pad, kernels.shape[2])
+    taps = _taps(x, kernels.shape[2])
     partials = np.zeros((-(-b // CHUNK), o, kernels[0].size))
 
     def share(images):
@@ -190,11 +190,11 @@ def conv2d_backward_batch(x: Tensor, kernels: Tensor, pad: int, dout: Tensor):
     dk = partials[0]
     for partial in partials[1:]:
         dk += partial
-    dx = _correlate(dout, kernels[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), pad)
+    dx = _correlate(dout, kernels[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)) if need_dx else None
     return dx, dk.reshape(kernels.shape), dbias
 
 
-def _conv_out_shape(x: Tensor, kernels: Tensor, pad: int) -> tuple[int, int, int, int]:
+def _conv_out_shape(x: Tensor, kernels: Tensor) -> tuple[int, int, int, int]:
     """conv2d_batch's output shape (B, O, H, W); ShapeError for operands that do not fit."""
     if x.ndim != 4 or kernels.ndim != 4:
         raise ShapeError(f"conv2d needs x (B,C,H,W) and kernels (O,C,k,k), got {x.shape}, {kernels.shape}")
@@ -202,22 +202,21 @@ def _conv_out_shape(x: Tensor, kernels: Tensor, pad: int) -> tuple[int, int, int
     o, ck, kh, kw = kernels.shape
     if ck != c:
         raise ShapeError(f"conv2d channel mismatch: input has {c}, kernels expect {ck}")
-    if kh != kw or kh % 2 == 0 or pad != (kh - 1) // 2:
-        raise ShapeError(f"conv2d needs an odd square kernel padded by (k - 1) // 2, "
-                         f"got a {kh}x{kw} kernel and pad {pad}")
+    if kh != kw or kh % 2 == 0:
+        raise ShapeError(f"conv2d needs an odd square kernel, got a {kh}x{kw} kernel")
     return b, o, h, w
 
 
-def _correlate(x: Tensor, kernels: Tensor, pad: int) -> Tensor:
+def _correlate(x: Tensor, kernels: Tensor) -> Tensor:
     """Bias-free cross-correlation of x (B, C, H, W) with kernels (O, C, k, k).
 
-    x is zero-padded by pad = (k - 1) // 2 on each edge, so the output is
+    x is zero-padded by (k - 1) // 2 on each edge, so the output is
     (B, O, H, W). Each image is one GEMM of the flattened kernels with its
     patch matrix (im2col); the images are spread over the cores by
     map_shares, each share refilling its own patch buffer.
     """
     o = kernels.shape[0]
-    taps = _taps(x, pad, kernels.shape[2])
+    taps = _taps(x, kernels.shape[2])
     b, h, w = taps.shape[0], *taps.shape[4:]
     k2 = kernels.reshape(o, -1)
     out = np.empty((b, o, h * w))
@@ -233,14 +232,15 @@ def _correlate(x: Tensor, kernels: Tensor, pad: int) -> Tensor:
     return out.reshape(b, o, h, w)
 
 
-def _taps(x: Tensor, pad: int, k: int) -> Tensor:
-    """(B, C, k, k, H, W) view of x (B, C, H, W) zero-padded by pad = (k - 1) // 2.
+def _taps(x: Tensor, k: int) -> Tensor:
+    """(B, C, k, k, H, W) view of x (B, C, H, W) zero-padded by (k - 1) // 2 for an odd k.
 
     Image n's (C*k*k, H*W) patch matrix is taps[n] copied into a
     contiguous buffer: row (c, i, j) holds padded channel c shifted by
     tap (i, j) at every output position.
     """
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
+    pad = (k - 1) // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     return sliding_window_view(xp, (k, k), axis=(2, 3)).transpose(0, 1, 4, 5, 2, 3)
 
 

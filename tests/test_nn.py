@@ -90,7 +90,6 @@ class TestBuilders:
         # a conv keeps its input's size, a pool halves it
         x = np.random.default_rng(kernel_hw).normal(size=(2, 3, 6, 4))
         conv = nn.Model([nn.Conv2d(3, 2, kernel_hw)], (3, 6, 4), 2, {"kind": "one-conv"})
-        assert conv.layers[0].pad == (kernel_hw - 1) // 2
         assert conv.forward(x).shape == (2, 2, 6, 4)
         assert nn.MaxPool2d().forward(x, cache=False).shape == (2, 3, 3, 2)
 
@@ -241,15 +240,18 @@ class TestBackward:
         assert err < 1e-6
 
     def test_cnn_finite_differences(self):
-        rng = np.random.default_rng(11)
-        layers = [nn.Conv2d(1, 2, 3), nn.ReLU(), nn.MaxPool2d(), nn.Dense(2 * 3 * 3, 3)]
-        model = nn.Model(layers, (1, 6, 6), 3, {"kind": "tiny-cnn"})
-        nn.init_xavier_uniform(model, rng)
-        x = rng.normal(size=(2, 1, 6, 6))
-        y = rng.integers(0, 3, size=2)
-        err = max_relative_error(analytic_gradients(model, x, y, l2=0.0),
-                                 numerical_gradients(model, x, y, l2=0.0))
-        assert err < 1e-6
+        # the second model's conv2 checks a conv input gradient, which a first conv skips
+        for layers in ([nn.Conv2d(1, 2, 3), nn.ReLU(), nn.MaxPool2d(), nn.Dense(2 * 3 * 3, 3)],
+                       [nn.Conv2d(1, 2, 3), nn.ReLU(), nn.Conv2d(2, 2, 3), nn.ReLU(), nn.MaxPool2d(),
+                        nn.Dense(2 * 3 * 3, 3)]):
+            rng = np.random.default_rng(11)
+            model = nn.Model(layers, (1, 6, 6), 3, {"kind": "tiny-cnn"})
+            nn.init_xavier_uniform(model, rng)
+            x = rng.normal(size=(2, 1, 6, 6))
+            y = rng.integers(0, 3, size=2)
+            err = max_relative_error(analytic_gradients(model, x, y, l2=0.0),
+                                     numerical_gradients(model, x, y, l2=0.0))
+            assert err < 1e-6
 
     def test_dense_reads_an_image_batch_as_its_flat_view(self):
         rng = np.random.default_rng(13)
@@ -325,6 +327,23 @@ class TestFirstLayerInputGradient:
         assert len(matmuls) == 3
         assert [layer for layer, _ in returned] == [model.layers[2], model.layers[0]]
         assert returned[0][1].shape == (5, 5) and returned[1][1] is None
+
+    def test_cnn_backward_skips_the_first_input_gradient(self, monkeypatch):
+        model = nn.build_cnn(1, 8, 4)
+        _, logit_gradient = self._forward_and_loss(model, 33)
+        calls = []
+        conv_backward = T.conv2d_backward_batch
+
+        def recorded(x, kernels, need_dx, dout):
+            grads = conv_backward(x, kernels, need_dx, dout)
+            calls.append((need_dx, grads[0]))
+            return grads
+
+        monkeypatch.setattr(T, "conv2d_backward_batch", recorded)
+        model.backward(logit_gradient)
+        # conv3, conv2, conv1: nothing reads the model input's gradient
+        assert [need_dx for need_dx, _ in calls] == [True, True, False]
+        assert calls[1][1].shape == (5, 16, 4, 4) and calls[2][1] is None
 
 
 def temporary_then_copy_backward(layer, delta, *, need_dx):

@@ -165,9 +165,9 @@ class TestMatmul:
         assert (store == np.arange(store.size)).all()
 
 
-def conv2d_one(x, kernels, bias, pad):
+def conv2d_one(x, kernels, bias):
     """conv2d_batch on a single (C, H, W) image."""
-    return T.conv2d_batch(x[None], kernels, bias, pad)[0]
+    return T.conv2d_batch(x[None], kernels, bias)[0]
 
 
 def maxpool_one(x):
@@ -191,12 +191,9 @@ def central_difference(f, arr, h=1e-3):
 
 # the one geometry: an odd k padded by (k - 1) // 2
 BATCH_CASES = [(c, (k - 1) // 2, k) for c in (1, 3) for k in (1, 3, 5)]
-# (kh, kw, pad, message) of kernels and pads outside it, each refused with ShapeError
-OTHER_GEOMETRIES = [(4, 4, 1, "a 4x4 kernel and pad 1"), (4, 4, 2, "a 4x4 kernel and pad 2"),
-                    (3, 5, 1, "a 3x5 kernel and pad 1"), (3, 3, 0, "a 3x3 kernel and pad 0"),
-                    (3, 3, 2, "a 3x3 kernel and pad 2"), (1, 1, 1, "a 1x1 kernel and pad 1")]
-OTHER_GEOMETRY_IDS = ["even-k", "even-k-pad-2", "non-square", "pad-too-narrow", "pad-too-wide",
-                      "pad-on-1x1"]
+# (kh, kw, message) of kernels outside it, each refused with ShapeError
+OTHER_GEOMETRIES = [(4, 4, "a 4x4 kernel"), (3, 5, "a 3x5 kernel")]
+OTHER_GEOMETRY_IDS = ["even-k", "non-square"]
 
 
 class TestConv2d:
@@ -204,12 +201,12 @@ class TestConv2d:
         rng = np.random.default_rng(1)
         x = rng.uniform(size=(1, 5, 5))
         kernels = np.ones((1, 1, 1, 1))
-        out = conv2d_one(x, kernels, np.zeros(1), pad=0)
+        out = conv2d_one(x, kernels, np.zeros(1))
         np.testing.assert_allclose(out, x)
 
     def test_bias_only_on_zero_input(self):
         bias = np.array([1.5, -2.0])
-        out = conv2d_one(np.zeros((1, 4, 4)), np.zeros((2, 1, 3, 3)), bias, pad=1)
+        out = conv2d_one(np.zeros((1, 4, 4)), np.zeros((2, 1, 3, 3)), bias)
         assert out.shape == (2, 4, 4)
         np.testing.assert_allclose(out[0], 1.5)
         np.testing.assert_allclose(out[1], -2.0)
@@ -219,7 +216,7 @@ class TestConv2d:
         x = rng.normal(size=(1, 4, 4))
         kernels = rng.normal(size=(1, 1, 3, 3))
         bias = rng.normal(size=1)
-        out = conv2d_one(x, kernels, bias, pad=1)
+        out = conv2d_one(x, kernels, bias)
         assert out.shape == (1, 4, 4)
         np.testing.assert_allclose(out, conv2d_oracle(x, kernels, bias, 1), atol=1e-12)
 
@@ -229,7 +226,7 @@ class TestConv2d:
         x = rng.normal(size=(2, 5, 6))
         kernels = rng.normal(size=(3, 2, 2 * pad + 1, 2 * pad + 1))
         bias = rng.normal(size=3)
-        np.testing.assert_allclose(conv2d_one(x, kernels, bias, pad),
+        np.testing.assert_allclose(conv2d_one(x, kernels, bias),
                                    conv2d_oracle(x, kernels, bias, pad), atol=1e-12)
 
     @pytest.mark.parametrize("c,pad,k", BATCH_CASES)
@@ -238,7 +235,7 @@ class TestConv2d:
         x = rng.normal(size=(3, c, 6, 9))
         kernels = rng.normal(size=(4, c, k, k))
         bias = rng.normal(size=4)
-        out = T.conv2d_batch(x, kernels, bias, pad)
+        out = T.conv2d_batch(x, kernels, bias)
         assert out.shape == (3, 4, 6, 9)
         for n in range(3):
             np.testing.assert_allclose(out[n], conv2d_oracle(x[n], kernels, bias, pad), atol=1e-12)
@@ -248,20 +245,20 @@ class TestConv2d:
         x = rng.normal(size=(3, 4, 4))
         kernels = np.zeros((1, 3, 1, 1))
         kernels[0, 2, 0, 0] = 1.0
-        out = conv2d_one(x, kernels, np.zeros(1), pad=0)
+        out = conv2d_one(x, kernels, np.zeros(1))
         np.testing.assert_array_equal(out[0], x[2])
 
-    @pytest.mark.parametrize("x,kernels,bias,pad,match", [
-        (np.zeros((1, 4, 4)), np.zeros((2, 1, 3, 3)), np.zeros(2), 1, r"needs x \(B,C,H,W\)"),
-        (np.zeros((1, 1, 4, 4)), np.zeros((2, 3, 3)), np.zeros(2), 1, r"needs x \(B,C,H,W\)"),
-        (np.zeros((1, 1, 4, 4)), np.zeros((2, 3, 3, 3)), np.zeros(2), 1, "input has 1, kernels expect 3"),
-        (np.zeros((1, 1, 4, 4)), np.zeros((2, 1, 3, 3)), np.zeros(3), 1, r"bias must be \(2,\)"),
-        *[(np.zeros((1, 1, 4, 4)), np.zeros((2, 1, kh, kw)), np.zeros(2), pad, match)
-          for kh, kw, pad, match in OTHER_GEOMETRIES],
+    @pytest.mark.parametrize("x,kernels,bias,match", [
+        (np.zeros((1, 4, 4)), np.zeros((2, 1, 3, 3)), np.zeros(2), r"needs x \(B,C,H,W\)"),
+        (np.zeros((1, 1, 4, 4)), np.zeros((2, 3, 3)), np.zeros(2), r"needs x \(B,C,H,W\)"),
+        (np.zeros((1, 1, 4, 4)), np.zeros((2, 3, 3, 3)), np.zeros(2), "input has 1, kernels expect 3"),
+        (np.zeros((1, 1, 4, 4)), np.zeros((2, 1, 3, 3)), np.zeros(3), r"bias must be \(2,\)"),
+        *[(np.zeros((1, 1, 4, 4)), np.zeros((2, 1, kh, kw)), np.zeros(2), match)
+          for kh, kw, match in OTHER_GEOMETRIES],
     ], ids=["x-rank", "kernel-rank", "channels", "bias", *OTHER_GEOMETRY_IDS])
-    def test_malformed_operands(self, x, kernels, bias, pad, match):
+    def test_malformed_operands(self, x, kernels, bias, match):
         with pytest.raises(ShapeError, match=match):
-            T.conv2d_batch(x, kernels, bias, pad)
+            T.conv2d_batch(x, kernels, bias)
 
     def test_backward_routes_to_padded_taps(self):
         # finite-difference spot check on a single kernel tap
@@ -270,15 +267,15 @@ class TestConv2d:
         kernels = rng.normal(size=(2, 1, 3, 3))
         bias = rng.normal(size=2)
         dout = rng.normal(size=(1, 2, 4, 4))
-        _, dk, db = T.conv2d_backward_batch(x, kernels, 1, dout)
+        _, dk, db = T.conv2d_backward_batch(x, kernels, True, dout)
         h = 1e-6
         for tap in [(0, 0, 0, 0), (1, 0, 2, 1)]:
             kp = kernels.copy()
             kp[tap] += h
             km = kernels.copy()
             km[tap] -= h
-            up = (T.conv2d_batch(x, kp, bias, 1) * dout).sum()
-            down = (T.conv2d_batch(x, km, bias, 1) * dout).sum()
+            up = (T.conv2d_batch(x, kp, bias) * dout).sum()
+            down = (T.conv2d_batch(x, km, bias) * dout).sum()
             np.testing.assert_allclose(dk[tap], (up - down) / (2 * h), rtol=1e-5)
         np.testing.assert_allclose(db, dout.sum(axis=(0, 2, 3)))
 
@@ -293,34 +290,45 @@ class TestConv2d:
         dout = rng.normal(size=(3, 4, 6, 9))
 
         def loss():
-            return (T.conv2d_batch(x, kernels, bias, pad) * dout).sum()
+            return (T.conv2d_batch(x, kernels, bias) * dout).sum()
 
-        dx, dk, db = T.conv2d_backward_batch(x, kernels, pad, dout)
+        dx, dk, db = T.conv2d_backward_batch(x, kernels, True, dout)
         assert dx.shape == x.shape and dk.shape == kernels.shape
         np.testing.assert_allclose(dx, central_difference(loss, x), rtol=1e-7, atol=1e-9)
         np.testing.assert_allclose(dk, central_difference(loss, kernels), rtol=1e-7, atol=1e-9)
         np.testing.assert_allclose(db, dout.sum(axis=(0, 2, 3)))
 
+    @pytest.mark.parametrize("c,pad,k", BATCH_CASES)
+    def test_backward_without_dx_keeps_the_kernel_and_bias_bytes(self, c, pad, k):
+        rng = np.random.default_rng(300 + 10 * c + 3 * pad + k)
+        x = rng.normal(size=(17, c, 6, 9))
+        kernels = rng.normal(size=(4, c, k, k))
+        dout = rng.normal(size=(17, 4, 6, 9))
+        _, dk, db = T.conv2d_backward_batch(x, kernels, True, dout)
+        dx, dk_alone, db_alone = T.conv2d_backward_batch(x, kernels, False, dout)
+        assert dx is None
+        assert dk_alone.tobytes() == dk.tobytes() and db_alone.tobytes() == db.tobytes()
+
     @pytest.mark.parametrize("dout_shape", [(4, 2, 4, 4), (2, 3, 4, 4), (2, 2, 5, 4), (2, 2, 4)],
                              ids=["batch", "channels", "height", "rank"])
     def test_backward_refuses_a_dout_that_does_not_fit(self, dout_shape):
-        # x (2, 1, 4, 4) and kernels (2, 1, 3, 3) at pad 1 give outputs (2, 2, 4, 4)
+        # x (2, 1, 4, 4) and kernels (2, 1, 3, 3) give outputs (2, 2, 4, 4)
         with pytest.raises(ShapeError, match=r"dout must be \(2, 2, 4, 4\)"):
-            T.conv2d_backward_batch(np.zeros((2, 1, 4, 4)), np.zeros((2, 1, 3, 3)), 1,
+            T.conv2d_backward_batch(np.zeros((2, 1, 4, 4)), np.zeros((2, 1, 3, 3)), True,
                                     np.zeros(dout_shape))
 
-    @pytest.mark.parametrize("kh,kw,pad,match", OTHER_GEOMETRIES, ids=OTHER_GEOMETRY_IDS)
-    def test_backward_refuses_other_geometries(self, kh, kw, pad, match):
+    @pytest.mark.parametrize("kh,kw,match", OTHER_GEOMETRIES, ids=OTHER_GEOMETRY_IDS)
+    def test_backward_refuses_other_geometries(self, kh, kw, match):
         x = np.zeros((2, 1, 4, 4))
         with pytest.raises(ShapeError, match=match):
-            T.conv2d_backward_batch(x, np.zeros((2, 1, kh, kw)), pad, np.zeros((2, 2, 4, 4)))
+            T.conv2d_backward_batch(x, np.zeros((2, 1, kh, kw)), True, np.zeros((2, 2, 4, 4)))
 
     def test_backward_refuses_malformed_operands(self):
         with pytest.raises(ShapeError, match="input has 1, kernels expect 3"):
-            T.conv2d_backward_batch(np.zeros((2, 1, 4, 4)), np.zeros((2, 3, 3, 3)), 1,
+            T.conv2d_backward_batch(np.zeros((2, 1, 4, 4)), np.zeros((2, 3, 3, 3)), True,
                                     np.zeros((2, 2, 4, 4)))
         with pytest.raises(ShapeError, match=r"needs x \(B,C,H,W\)"):
-            T.conv2d_backward_batch(np.zeros((1, 4, 4)), np.zeros((2, 1, 3, 3)), 1,
+            T.conv2d_backward_batch(np.zeros((1, 4, 4)), np.zeros((2, 1, 3, 3)), True,
                                     np.zeros((1, 2, 4, 4)))
 
     # batches 16, 17 and 33 end on a full, a one-image and a short chunk of dk's sum
@@ -334,8 +342,8 @@ class TestConv2d:
         results = []
         for workers in (1, 2, 3):
             monkeypatch.setattr(T, "WORKERS", workers)
-            results.append([T.conv2d_batch(x, kernels, bias, 1).tobytes()]
-                           + [g.tobytes() for g in T.conv2d_backward_batch(x, kernels, 1, dout)])
+            results.append([T.conv2d_batch(x, kernels, bias).tobytes()]
+                           + [g.tobytes() for g in T.conv2d_backward_batch(x, kernels, True, dout)])
         assert results[1] == results[0] and results[2] == results[0]
 
     @pytest.mark.parametrize("batch", [5, 16, 17, 40])
@@ -344,7 +352,7 @@ class TestConv2d:
         x = rng.normal(size=(batch, 2, 6, 7))
         kernels = rng.normal(size=(3, 2, 3, 3))
         dout = rng.normal(size=(batch, 3, 6, 7))
-        _, dk, _ = T.conv2d_backward_batch(x, kernels, 1, dout)
+        _, dk, _ = T.conv2d_backward_batch(x, kernels, True, dout)
         # the oracle: one running sum over every image in order
         want = np.zeros((3, 2 * 3 * 3))
         xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
@@ -602,7 +610,7 @@ def test_chunk_loops_keep_their_bytes_with_more_workers_than_cores(monkeypatch):
     def run():
         out = T.maxpool2d_batch(x)
         dx = T.maxpool2d_backward_batch(x, out, dout[:, :2, :3, :3])
-        return [out.tobytes(), dx.tobytes(), T.conv2d_backward_batch(x, kernels, 1, dout)[1].tobytes(),
+        return [out.tobytes(), dx.tobytes(), T.conv2d_backward_batch(x, kernels, True, dout)[1].tobytes(),
                 T.matmul(x.reshape(len(x), -1), w).tobytes()]
 
     cores = T.WORKERS
